@@ -132,9 +132,8 @@ pub const SANCTIONED_UNSAFE: &[&str] = &[
     // The SIMD boundary (DESIGN.md §3h): TypeId-proven slice casts and
     // AVX2/FMA intrinsics behind a scalar-identical contract.
     "crates/spmm/src/simd.rs",
-    // Counting global allocators for the allocation-free guards; a
-    // GlobalAlloc impl is unsafe by signature.
-    "crates/bench/src/bin/perf_suite.rs",
+    // The counting global allocator behind the allocation-free guards;
+    // a GlobalAlloc impl is unsafe by signature.
     "tests/alloc_free.rs",
 ];
 

@@ -121,15 +121,13 @@ mod tests {
         assert_eq!(classify("src/cli.rs"), Role::Lib);
         assert_eq!(classify("src/lib.rs"), Role::Lib);
         assert_eq!(classify("src/main.rs"), Role::Bin);
-        assert_eq!(classify("crates/bench/src/bin/perf_suite.rs"), Role::Bin);
+        assert_eq!(classify("crates/bench/src/bin/fig9_spmm.rs"), Role::Bin);
         assert_eq!(classify("tests/alloc_free.rs"), Role::Test);
         assert_eq!(classify("crates/io/tests/proptest_io.rs"), Role::Test);
-        assert_eq!(
-            classify("crates/bench/benches/spmm_kernels.rs"),
-            Role::Bench
-        );
+        // Classification is by path alone; the workspace has no benches.
+        assert_eq!(classify("crates/spmm/benches/kernel.rs"), Role::Bench);
         assert_eq!(classify("examples/quickstart.rs"), Role::Example);
-        assert_eq!(classify("shims/criterion/src/lib.rs"), Role::Shim);
+        assert_eq!(classify("shims/proptest/src/lib.rs"), Role::Shim);
         assert_eq!(classify("build.rs"), Role::BuildScript);
         // A file merely *named* tests.rs in src stays Lib.
         assert_eq!(classify("crates/foo/src/tests.rs"), Role::Lib);

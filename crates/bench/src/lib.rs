@@ -9,7 +9,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod perf;
 pub mod tune;
 
 use xct_fp16::Precision;

@@ -1,11 +1,10 @@
 //! Tile-shape sweep harness behind `petaxct tune`.
 //!
 //! Sweeps the SpMM tile parameters — thread-block size × shared-staging
-//! bytes × fusing — over the same CGLS-on-the-mini-operator measurement
-//! the perf suite's `serial` scenario uses (best-of-reps wall time,
-//! effective flops from the execution counters), and returns the points
-//! as a [`TuneReport`] ready to serialize as a `petaxct-tune-v1`
-//! artifact. The planner consumes the artifact through `--tune-from`.
+//! bytes × fusing — over a CGLS-on-the-mini-operator measurement
+//! (best-of-reps wall time, effective flops from the execution counters),
+//! and returns the points as a [`TuneReport`] ready to serialize as a
+//! `petaxct-tune-v1` artifact. The planner consumes the artifact through `--tune-from`.
 
 use std::time::Instant;
 
@@ -119,7 +118,7 @@ pub fn run_tune(
         for &shared_bytes in &p.shared {
             for &fusing in &p.fusings {
                 // One synthetic sinogram per fusing width (projection of
-                // a fixed ramp phantom, same as the perf suite).
+                // a fixed ramp phantom).
                 let mut x_true = vec![0.0f32; sm.num_voxels() * fusing];
                 for (i, v) in x_true.iter_mut().enumerate() {
                     *v = ((i % 11) as f32) * 0.1;

@@ -23,8 +23,9 @@
 //! job).
 //!
 //! The clean-verdict path allocates nothing: intervals are folded in
-//! registers and a passing [`VerifyReport`] never pushes. `perf_suite`
-//! asserts this with the counting allocator.
+//! registers and a passing [`VerifyReport`] never pushes. The root
+//! package's `tests/alloc_free.rs` asserts this with its counting
+//! allocator.
 
 use crate::diag::{AccessKind, ExchangeLevel, VerifyReport, ViolationKind};
 use xct_comm::{CompiledPlans, LevelProgram, RankPlan};

@@ -15,10 +15,15 @@
 //! - the distributed path's per-iteration allocation count is **bounded and
 //!   constant**: wire buffers are owned `Vec`s moved into channels (that is
 //!   inherent to message passing), but the count per iteration must not
-//!   grow, and the compute side must not add per-apply allocations on top.
+//!   grow, and the compute side must not add per-apply allocations on top;
+//! - a clean verdict from the plan verifier's abstract-interpretation
+//!   passes performs **zero** allocations after setup, because the passes
+//!   run inside `--verify-plans` on the reconstruction path.
 //!
 //! The allocator counts every `alloc`/`realloc`/`alloc_zeroed` globally, so
-//! the two tests serialize on a mutex to keep their windows disjoint.
+//! this file is a `harness = false` test: [`main`] runs the cases one after
+//! another on the main thread, and no other case's allocations can land in
+//! a counting window.
 
 // The counting allocator below is the only unsafe code in the
 // workspace; every unsafe operation inside it must be explicit and
@@ -26,10 +31,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use xct_comm::{run_ranks, CompiledPlans, ExchangeScratch, Footprints, Ownership, Topology};
+use xct_comm::{
+    run_ranks, CompiledPlans, ExchangeScratch, Footprints, HierarchicalPlan, Ownership, Topology,
+};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
@@ -76,16 +83,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-#[test]
 fn steady_state_cgls_steps_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
@@ -126,10 +128,7 @@ fn steady_state_cgls_steps_do_not_allocate() {
     );
 }
 
-#[test]
 fn disabled_telemetry_spans_and_events_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     let telemetry = Telemetry::disabled();
     let before = allocations();
     for i in 0..1000 {
@@ -144,10 +143,7 @@ fn disabled_telemetry_spans_and_events_do_not_allocate() {
     );
 }
 
-#[test]
 fn enabled_telemetry_leaves_workspace_steady_state_alone() {
-    let _guard = SERIAL.lock().unwrap();
-
     let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
     let sm = SystemMatrix::build(&scan);
     let csr = Csr::from_system_matrix(&sm);
@@ -181,10 +177,7 @@ fn enabled_telemetry_leaves_workspace_steady_state_alone() {
     );
 }
 
-#[test]
 fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Every metric primitive — counter add/inc, gauge set, histogram
     // observe, flight point — must be a single None-check when the
     // handle is disabled: no heap traffic and nothing recorded.
@@ -213,10 +206,7 @@ fn disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate() {
     assert!(telemetry.flight_dump_json("probe").is_none());
 }
 
-#[test]
 fn disabled_profile_context_calls_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Both flavors of "profiling off": a fully disabled handle, and an
     // enabled handle on which enable_profile was never called. The
     // slab/slice context setters must be no-ops on the heap (a None
@@ -244,10 +234,7 @@ fn disabled_profile_context_calls_do_not_allocate() {
     assert!(enabled.profile_snapshot().is_none());
 }
 
-#[test]
 fn enabled_metrics_are_allocation_free_after_handle_creation() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Enabled is the always-on production mode: the per-track atomic
     // slab and the fixed-capacity flight ring are allocated when the
     // handle registers, after which every recording path — including
@@ -272,10 +259,7 @@ fn enabled_metrics_are_allocation_free_after_handle_creation() {
     assert_eq!(snap.counter_total(MetricId::SolverIterations), 1000);
 }
 
-#[test]
 fn steady_state_compiled_exchange_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Same fixture as the compiled-plan unit tests: 8 ranks on 2×2×2,
     // 32 rows, deterministic overlapping footprints.
     let topo = Topology::new(2, 2, 2);
@@ -363,10 +347,7 @@ fn steady_state_compiled_exchange_does_not_allocate() {
     );
 }
 
-#[test]
 fn disabled_telemetry_match_edges_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     // The comm runtime records a causal [`EdgeRecord`] at every
     // send→recv match — but only when telemetry is on. With a disabled
     // handle the sender stamps nothing and the receiver's finish_match
@@ -405,10 +386,7 @@ fn disabled_telemetry_match_edges_do_not_allocate() {
     );
 }
 
-#[test]
 fn distributed_iterations_allocate_a_bounded_constant_amount() {
-    let _guard = SERIAL.lock().unwrap();
-
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16);
     let sm = SystemMatrix::build(&scan);
     let phantom: Vec<f32> = (0..sm.num_voxels()).map(|i| (i % 5) as f32 * 0.2).collect();
@@ -444,4 +422,122 @@ fn distributed_iterations_allocate_a_bounded_constant_amount() {
         delta_late <= delta_early + tolerance,
         "per-iteration allocations grew: iterations 7..12 cost {delta_early}, 13..18 cost {delta_late}"
     );
+}
+
+fn clean_analysis_verdicts_do_not_allocate() {
+    // Setup: everything the passes consume (plans built, re-homing
+    // artifact constructed, schedule materialized), outside the window.
+    let case = xct_verify::corpus::gen_case(3);
+    let plan = HierarchicalPlan::build(&case.footprints, &case.ownership, &case.topology);
+    let plans = CompiledPlans::compile_hierarchical(&case.footprints, &case.ownership, &plan);
+    let ops = xct_verify::overlap_schedule(3, 4);
+    let (steal_plans, steal_topo) = xct_verify::corpus::steal_fixture();
+    let steal = xct_verify::SliceSteal {
+        slice: 0,
+        from: 0,
+        to: 1,
+    };
+    let rehomed = xct_verify::rehome_slice(&steal_plans, steal);
+    let concurrent = [0usize, 1, 2];
+
+    // Warm-up outside the count (first-use lazy init, if any).
+    assert!(xct_verify::verify_bounds(&plans).ok());
+    assert!(xct_verify::verify_scratch_lifetime(0, &ops).ok());
+    assert!(
+        xct_verify::verify_transfer_safety(&steal_plans, &steal_topo, &concurrent, &rehomed).ok()
+    );
+
+    let before = allocations();
+    let bounds = xct_verify::verify_bounds(&plans);
+    let lifetime = xct_verify::verify_scratch_lifetime(0, &ops);
+    let transfer =
+        xct_verify::verify_transfer_safety(&steal_plans, &steal_topo, &concurrent, &rehomed);
+    let allocs = allocations() - before;
+    assert!(bounds.ok() && lifetime.ok() && transfer.ok());
+    assert_eq!(
+        allocs, 0,
+        "a clean Layer-2 verdict (bounds, scratch lifetime, transfer safety) must not touch the heap"
+    );
+}
+
+/// `(name, case)` pairs, named after their functions.
+macro_rules! cases {
+    ($($case:ident),* $(,)?) => { &[$((stringify!($case), $case as fn())),*] };
+}
+
+/// Every case, in run order.
+const CASES: &[(&str, fn())] = cases![
+    steady_state_cgls_steps_do_not_allocate,
+    disabled_telemetry_spans_and_events_do_not_allocate,
+    enabled_telemetry_leaves_workspace_steady_state_alone,
+    disabled_metrics_and_flight_recorder_record_nothing_and_do_not_allocate,
+    disabled_profile_context_calls_do_not_allocate,
+    enabled_metrics_are_allocation_free_after_handle_creation,
+    steady_state_compiled_exchange_does_not_allocate,
+    disabled_telemetry_match_edges_do_not_allocate,
+    distributed_iterations_allocate_a_bounded_constant_amount,
+    clean_analysis_verdicts_do_not_allocate,
+];
+
+/// A sequential runner speaking enough of libtest's command line and
+/// output for `cargo test`: name filters (substring, or whole name under
+/// `--exact`), `--skip`, `--list`, and one
+/// `test <name> ... ok|FAILED` line per case. Other flags are ignored.
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let mut filters = Vec::new();
+    let mut skips = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--skip" => skips.extend(it.next()),
+            "--test-threads" | "--color" | "--format" | "--logfile" | "-Z" => {
+                it.next();
+            }
+            a if !a.starts_with('-') => filters.push(a),
+            _ => {}
+        }
+    }
+    let matches = |name: &str, pat: &str| {
+        if has("--exact") {
+            name == pat
+        } else {
+            name.contains(pat)
+        }
+    };
+    let selected: Vec<&(&str, fn())> = CASES
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if has("--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return ExitCode::SUCCESS;
+    }
+
+    let plural = if selected.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", selected.len());
+    let mut failed = Vec::new();
+    for (name, case) in &selected {
+        let ok = std::panic::catch_unwind(*case).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        if !ok {
+            failed.push(*name);
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        CASES.len() - selected.len()
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
