@@ -11,7 +11,6 @@
 
 pub mod tune;
 
-use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
 use xct_spmm::Csr;
@@ -92,11 +91,6 @@ pub fn fmt_time(seconds: f64) -> String {
 /// Prints a rule line sized to a header.
 pub fn rule(header: &str) -> String {
     "-".repeat(header.len())
-}
-
-/// The four precisions in the order the paper's tables sweep them.
-pub fn table_precisions() -> [Precision; 3] {
-    [Precision::Double, Precision::Single, Precision::Mixed]
 }
 
 #[cfg(test)]

@@ -163,16 +163,17 @@ struct RankOperator<'a> {
 }
 
 impl RankOperator<'_> {
-    /// Agree on the global normalization factor for one slice's partials
-    /// so quantized contributions from different ranks combine coherently
-    /// (§III-C1 across ranks). Identity for full-width wire formats.
-    fn forward_factor(&self, vals: &[f32]) -> (f32, f32) {
+    /// Agree on the global normalization `(factor, undo)` for `vals`
+    /// (local max → `allreduce_max` on `tag` → `256 / max`) so quantized
+    /// contributions from different ranks combine coherently (§III-C1
+    /// across ranks). Identity for full-width wire formats.
+    fn normalization(&self, tag: u64, vals: &[f32]) -> (f32, f32) {
         match self.cfg.precision {
             Precision::Half | Precision::Mixed => {
                 let local_max = vals.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
                 let global_max = self
                     .comm
-                    .allreduce_max(0x7000, f64::from(local_max))
+                    .allreduce_max(tag, f64::from(local_max))
                     // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
                     .expect("allreduce_max");
                 if global_max > f64::MIN_POSITIVE {
@@ -221,7 +222,7 @@ impl RankOperator<'_> {
                 let xs = &st.x[f * self.owned_vox_len..(f + 1) * self.owned_vox_len];
                 let ps = &mut st.partial[f * self.footprint_len..(f + 1) * self.footprint_len];
                 self.local.apply(xs, ps, st.ctx);
-                let (factor, undo) = self.forward_factor(ps);
+                let (factor, undo) = self.normalization(0x7000, ps);
                 st.undo = undo;
                 // xct-allow(no-panic): lock poisoning means a sibling pipeline stage already panicked; propagate
                 let mut scratch = self.scratch.lock().expect("scratch mutex");
@@ -265,23 +266,7 @@ impl RankOperator<'_> {
         let rp = self.plans.rank(self.rank);
         // One normalization factor for the whole batch (one allreduce per
         // backprojection, as in the reference path).
-        let (factor, undo) = match self.cfg.precision {
-            Precision::Half | Precision::Mixed => {
-                let local_max = y.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-                let global_max = self
-                    .comm
-                    .allreduce_max(0x7100, f64::from(local_max))
-                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                    .expect("allreduce_max");
-                if global_max > f64::MIN_POSITIVE {
-                    let factor = (256.0 / global_max) as f32;
-                    (factor, 1.0 / factor)
-                } else {
-                    (1.0, 1.0)
-                }
-            }
-            _ => (1.0, 1.0),
-        };
+        let (factor, undo) = self.normalization(0x7100, y);
         let footprint_vals = ctx
             .workspace
             .take::<f32>(BufferRole::Footprint, self.footprint_len * self.cfg.fusing);

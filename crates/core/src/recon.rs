@@ -53,6 +53,8 @@ pub struct ReconOptions {
     pub block_size: usize,
     /// Staging-buffer bytes per block (96 KB on V100).
     pub shared_bytes: usize,
+    /// The iterative algorithm (default: CGLS, the paper's solver).
+    pub algorithm: Algorithm,
 }
 
 impl Default for ReconOptions {
@@ -65,6 +67,7 @@ impl Default for ReconOptions {
             tolerance: 0.0,
             block_size: 64,
             shared_bytes: 96 * 1024,
+            algorithm: Algorithm::Cgls,
         }
     }
 }
@@ -81,20 +84,12 @@ impl Default for ReconOptions {
 /// let phantom = vec![0.5f32; recon.num_voxels()];
 /// let sinogram = recon.project(&phantom);
 /// let result = recon.reconstruct(&sinogram, &ReconOptions::default());
-/// assert!(result.report.residual_history.last().unwrap() < &0.1);
+/// assert!(result.residual_history.last().unwrap() < &0.1);
 /// ```
 pub struct Reconstructor {
     scan: ScanGeometry,
     matrix: SystemMatrix,
     csr: Csr<f32>,
-}
-
-/// Reconstruction outcome.
-pub struct ReconResult {
-    /// The volume, slice-major (`fusing × num_voxels`).
-    pub x: Vec<f32>,
-    /// Solver diagnostics (residual/time histories).
-    pub report: CglsReport,
 }
 
 impl Reconstructor {
@@ -135,54 +130,32 @@ impl Reconstructor {
     }
 
     /// Reconstructs `opts.fusing` slices from their sinograms
-    /// (slice-major, `fusing × num_rays`) with CGLS.
-    pub fn reconstruct(&self, sinogram: &[f32], opts: &ReconOptions) -> ReconResult {
-        self.reconstruct_with(sinogram, opts, Algorithm::Cgls)
-    }
-
-    /// Reconstructs with an explicit [`Algorithm`].
+    /// (slice-major, `fusing × num_rays`) with `opts.algorithm`; the
+    /// report's `x` is the volume, slice-major (`fusing × num_voxels`).
     ///
     /// # Panics
     /// Panics on shape mismatches, or when TV is requested with
     /// `fusing > 1` (TV couples voxels within one slice grid).
-    pub fn reconstruct_with(
-        &self,
-        sinogram: &[f32],
-        opts: &ReconOptions,
-        algorithm: Algorithm,
-    ) -> ReconResult {
+    pub fn reconstruct(&self, sinogram: &[f32], opts: &ReconOptions) -> CglsReport {
         // One parallel context per reconstruction: kernel launches fan
         // out across cores, and every iteration reuses its warm buffers.
-        let mut ctx = ExecContext::parallel();
-        self.reconstruct_with_in(sinogram, opts, algorithm, &mut ctx)
+        self.reconstruct_in(sinogram, opts, &mut ExecContext::parallel())
     }
 
     /// [`Reconstructor::reconstruct`] running inside a caller-owned
     /// [`ExecContext`] — repeated batches reuse the context's warm
     /// workspace, and its telemetry handle (if enabled) records solver
-    /// and kernel phases.
+    /// and kernel phases. The context's precision is aligned with
+    /// `opts.precision` for the duration of the call.
+    ///
+    /// # Panics
+    /// Same conditions as [`Reconstructor::reconstruct`].
     pub fn reconstruct_in(
         &self,
         sinogram: &[f32],
         opts: &ReconOptions,
         ctx: &mut ExecContext,
-    ) -> ReconResult {
-        self.reconstruct_with_in(sinogram, opts, Algorithm::Cgls, ctx)
-    }
-
-    /// [`Reconstructor::reconstruct_with`] running inside a caller-owned
-    /// [`ExecContext`]. The context's precision is aligned with
-    /// `opts.precision` for the duration of the call.
-    ///
-    /// # Panics
-    /// Same conditions as [`Reconstructor::reconstruct_with`].
-    pub fn reconstruct_with_in(
-        &self,
-        sinogram: &[f32],
-        opts: &ReconOptions,
-        algorithm: Algorithm,
-        ctx: &mut ExecContext,
-    ) -> ReconResult {
+    ) -> CglsReport {
         assert_eq!(
             sinogram.len(),
             self.num_rays() * opts.fusing,
@@ -199,7 +172,7 @@ impl Reconstructor {
             opts.shared_bytes,
         );
         ctx.precision = opts.precision;
-        let report = match algorithm {
+        match opts.algorithm {
             Algorithm::Cgls => cgls_in(
                 &op,
                 sinogram,
@@ -238,10 +211,6 @@ impl Reconstructor {
                     ctx,
                 )
             }
-        };
-        ReconResult {
-            x: report.x.clone(),
-            report,
         }
     }
 }
@@ -304,7 +273,7 @@ mod tests {
             },
         );
         assert_eq!(result.x.len(), n * n * fusing);
-        assert!(result.report.residual_history.last().unwrap() < &0.05);
+        assert!(result.residual_history.last().unwrap() < &0.05);
     }
 
     #[test]
@@ -332,14 +301,14 @@ mod tests {
             .collect();
         let y = recon.project(&truth);
         let err_of = |alg: Algorithm, iters: usize| {
-            let r = recon.reconstruct_with(
+            let r = recon.reconstruct(
                 &y,
                 &ReconOptions {
                     precision: Precision::Single,
                     iterations: iters,
+                    algorithm: alg,
                     ..Default::default()
                 },
-                alg,
             );
             let num: f64 =
                 r.x.iter()
@@ -376,15 +345,15 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(8, 1.0), 8);
         let recon = Reconstructor::new(scan);
         let y = vec![0.0f32; recon.num_rays() * 2];
-        recon.reconstruct_with(
+        recon.reconstruct(
             &y,
             &ReconOptions {
                 fusing: 2,
+                algorithm: Algorithm::Tv {
+                    lambda: 1.0,
+                    epsilon: 0.01,
+                },
                 ..Default::default()
-            },
-            Algorithm::Tv {
-                lambda: 1.0,
-                epsilon: 0.01,
             },
         );
     }

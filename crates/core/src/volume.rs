@@ -8,7 +8,7 @@
 //! simultaneously), and batches stream sequentially so memory stays
 //! bounded regardless of volume size.
 
-use crate::recon::{ReconOptions, Reconstructor};
+use crate::recon::{Algorithm, ReconOptions, Reconstructor};
 use xct_exec::{ExecContext, Phase};
 use xct_io::{IoError, SliceReader, SliceWriter};
 
@@ -21,7 +21,7 @@ pub struct VolumeStats {
     pub batches: usize,
     /// Worst final relative residual across batches.
     pub worst_residual: f64,
-    /// Total CG iterations performed.
+    /// Total solver iterations performed.
     pub total_iterations: usize,
 }
 
@@ -53,6 +53,8 @@ impl From<IoError> for PipelineError {
 
 /// Streams `reader`'s sinogram slices through `recon` in I/O batches of
 /// `io_batch` slices, writing tomogram slices to `writer` in order.
+/// Every [`Algorithm`] runs this loop; TV couples voxels within one
+/// slice grid, so it reads one slice per batch whatever `io_batch` is.
 ///
 /// `writer` must be created for the same slice count and
 /// `recon.num_voxels()` scalars per slice; the caller finishes it (so a
@@ -88,6 +90,10 @@ pub fn reconstruct_volume_in(
             recon.num_rays()
         )));
     }
+    let io_batch = match opts.algorithm {
+        Algorithm::Tv { .. } => 1,
+        Algorithm::Cgls | Algorithm::Sirt { .. } => io_batch,
+    };
     let mut stats = VolumeStats {
         slices: 0,
         batches: 0,
@@ -101,20 +107,20 @@ pub fn reconstruct_volume_in(
         };
         let Some(batch) = batch else { break };
         let fusing = batch.len() / recon.num_rays();
-        let result = recon.reconstruct_in(&batch, &ReconOptions { fusing, ..*opts }, ctx);
+        let report = recon.reconstruct_in(&batch, &ReconOptions { fusing, ..*opts }, ctx);
         {
             let _io = ctx.telemetry.span(Phase::Io);
             for f in 0..fusing {
                 writer
-                    .write_slice(&result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()])?;
+                    .write_slice(&report.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()])?;
             }
         }
         stats.slices += fusing;
         stats.batches += 1;
-        stats.total_iterations += result.report.iterations;
+        stats.total_iterations += report.iterations;
         stats.worst_residual = stats
             .worst_residual
-            .max(*result.report.residual_history.last().unwrap_or(&1.0));
+            .max(*report.residual_history.last().unwrap_or(&1.0));
     }
     Ok(stats)
 }
@@ -155,6 +161,16 @@ mod tests {
         truths
     }
 
+    fn volume_writer(recon: &Reconstructor, slices: usize, path: &std::path::Path) -> SliceWriter {
+        let meta = SliceFile {
+            kind: FileKind::Volume,
+            precision: Precision::Single,
+            slices,
+            slice_len: recon.num_voxels(),
+        };
+        SliceWriter::create(path, meta).unwrap()
+    }
+
     #[test]
     fn streams_and_reconstructs_whole_volume() {
         let n = 24;
@@ -165,16 +181,7 @@ mod tests {
         let truths = build_dataset(&recon, slices, &sino_path);
 
         let mut reader = SliceReader::open(&sino_path).unwrap();
-        let mut writer = SliceWriter::create(
-            &vol_path,
-            SliceFile {
-                kind: FileKind::Volume,
-                precision: Precision::Single,
-                slices,
-                slice_len: recon.num_voxels(),
-            },
-        )
-        .unwrap();
+        let mut writer = volume_writer(&recon, slices, &vol_path);
         let stats = reconstruct_volume(
             &recon,
             &mut reader,
@@ -212,6 +219,29 @@ mod tests {
     }
 
     #[test]
+    fn tv_volume_reads_one_slice_per_batch() {
+        let recon = Reconstructor::new(ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12));
+        let (sino_path, vol_path) = (tmp("tv_in.xctd"), tmp("tv_out.xctd"));
+        build_dataset(&recon, 3, &sino_path);
+        let mut reader = SliceReader::open(&sino_path).unwrap();
+        let mut writer = volume_writer(&recon, 3, &vol_path);
+        let opts = ReconOptions {
+            iterations: 5,
+            algorithm: Algorithm::Tv {
+                lambda: 0.1,
+                epsilon: 0.005,
+            },
+            ..Default::default()
+        };
+        let stats = reconstruct_volume(&recon, &mut reader, &mut writer, &opts, 4).unwrap();
+        writer.finish().unwrap();
+        assert_eq!(
+            (stats.slices, stats.batches, stats.total_iterations),
+            (3, 3, 15)
+        );
+    }
+
+    #[test]
     fn geometry_mismatch_is_reported() {
         let recon = Reconstructor::new(ScanGeometry::uniform(ImageGrid::square(16, 1.0), 16));
         let path = tmp("mismatch.xctd");
@@ -226,16 +256,7 @@ mod tests {
         w.finish().unwrap();
         let mut reader = SliceReader::open(&path).unwrap();
         let vol_path = tmp("mismatch_out.xctd");
-        let mut writer = SliceWriter::create(
-            &vol_path,
-            SliceFile {
-                kind: FileKind::Volume,
-                precision: Precision::Single,
-                slices: 1,
-                slice_len: 256,
-            },
-        )
-        .unwrap();
+        let mut writer = volume_writer(&recon, 1, &vol_path);
         match reconstruct_volume(
             &recon,
             &mut reader,

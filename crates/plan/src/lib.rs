@@ -26,12 +26,14 @@ pub mod profile;
 pub mod tune;
 
 pub use partition::{Partitioning, TableIComplexity};
+
 pub use profile::{ComponentDrift, ProfileReport, RankCost, SkewReport, PROFILE_SCHEMA};
 pub use tune::{KernelShape, TunePoint, TuneReport, TUNE_SCHEMA};
 
 use xct_cluster::MachineSpec;
 use xct_comm::Topology;
 use xct_fp16::Precision;
+use xct_telemetry::Json;
 
 /// Reconstruction volume shape at mini scale: a stack of `slices`
 /// square `n × n` tomogram planes scanned by a matched detector
@@ -384,6 +386,25 @@ impl Planner {
             tile_weights: None,
         }
     }
+}
+
+/// Reads `json[key]` as an unsigned integer — the one field reader of the
+/// artifact parsers. Rejects a missing or non-numeric field, and a
+/// negative, fractional or non-finite number (which `as` would saturate
+/// or truncate), naming `owner` and `key` in the error.
+pub(crate) fn uint_field(json: &Json, owner: &str, key: &str) -> Result<u64, String> {
+    let v = json
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{owner} missing numeric field {key:?}"))?;
+    as_uint(v)
+        .ok_or_else(|| format!("{owner} field {key:?} must be a non-negative integer, got {v}"))
+}
+
+/// `v` as a `u64` when it is a finite, non-negative whole number that
+/// fits.
+pub(crate) fn as_uint(v: f64) -> Option<u64> {
+    (v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v < 2f64.powi(64)).then_some(v as u64)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! `--weights-from`: [`ProfileReport::tile_weights`] turns the per-tile
 //! costs into the [`TileWeights`] the Hilbert partition re-runs with.
 
-use crate::TileWeights;
+use crate::{as_uint, uint_field, TileWeights};
 use xct_comm::Topology;
 use xct_fp16::Precision;
 use xct_telemetry::{CostComponent, Json, ALL_COMPONENTS, COMPONENT_COUNT};
@@ -63,22 +63,13 @@ impl RankCost {
     }
 
     fn from_json(json: &Json) -> Result<RankCost, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("rank entry missing numeric field {key:?}"))
-        };
+        let field = |key: &str| uint_field(json, "rank entry", key);
         let table = json
             .get("components")
             .ok_or("rank entry has no \"components\" object")?;
         let mut components = [0u64; COMPONENT_COUNT];
         for c in ALL_COMPONENTS {
-            components[c.index()] = table
-                .get(c.as_str())
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("rank components missing {:?}", c.as_str()))?;
+            components[c.index()] = uint_field(table, "rank components", c.as_str())?;
         }
         Ok(RankCost {
             rank: u32::try_from(field("rank")?).map_err(|_| "rank out of range".to_string())?,
@@ -142,7 +133,7 @@ impl ComponentDrift {
         };
         Ok(ComponentDrift {
             component,
-            measured_ns: num("measured_ns")? as u64,
+            measured_ns: uint_field(json, "drift row", "measured_ns")?,
             measured_share: num("measured_share")?,
             predicted_share: num("predicted_share")?,
         })
@@ -208,15 +199,17 @@ impl SkewReport {
             .iter()
             .map(|v| {
                 v.as_f64()
-                    .map(|r| r as u32)
-                    .ok_or("non-numeric zero-slack rank".to_string())
+                    .and_then(as_uint)
+                    .and_then(|r| u32::try_from(r).ok())
+                    .ok_or("zero-slack rank is not a rank id".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let ns = |key: &str| uint_field(json, "skew report", key);
         Ok(SkewReport {
-            max_tile_ns: num("max_tile_ns")? as u64,
+            max_tile_ns: ns("max_tile_ns")?,
             mean_tile_ns: num("mean_tile_ns")?,
-            critical_path_ns: num("critical_path_ns")? as u64,
-            max_rank_slack_ns: num("max_rank_slack_ns")? as u64,
+            critical_path_ns: ns("critical_path_ns")?,
+            max_rank_slack_ns: ns("max_rank_slack_ns")?,
             zero_slack_ranks,
         })
     }
@@ -323,12 +316,7 @@ impl ProfileReport {
             .ok_or("document has no \"precision\" field")?
             .parse()
             .map_err(|e| format!("bad precision: {e}"))?;
-        let num = |key: &str| -> Result<usize, String> {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("document missing numeric field {key:?}"))
-        };
+        let num = |key: &str| uint_field(json, "document", key).map(|v| v as usize);
         let topology_text = json
             .get("topology")
             .and_then(Json::as_str)
@@ -348,8 +336,8 @@ impl ProfileReport {
             .iter()
             .map(|v| {
                 v.as_f64()
-                    .map(|ns| ns as u64)
-                    .ok_or("non-numeric tile cost".to_string())
+                    .and_then(as_uint)
+                    .ok_or("tile cost is not a non-negative integer".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
         let ranks = json
@@ -542,6 +530,31 @@ mod tests {
         r.tile_costs_ns.pop();
         let err = ProfileReport::parse(&r.to_json().to_string()).unwrap_err();
         assert!(err.contains("15 entries"), "{err}");
+    }
+
+    #[test]
+    fn negative_and_fractional_numbers_are_rejected() {
+        let text = report().to_json().to_string();
+        for (from, to, needle) in [
+            ("\"wire_ns\":50", "\"wire_ns\":-3", "\"wire_ns\" must be"),
+            ("\"wire_ns\":50", "\"wire_ns\":1.5", "\"wire_ns\" must be"),
+            (
+                "\"spmm.compute\":400",
+                "\"spmm.compute\":-1",
+                "\"spmm.compute\" must be",
+            ),
+            (
+                "\"tile_costs_ns\":[0,",
+                "\"tile_costs_ns\":[-1,",
+                "tile cost",
+            ),
+            ("\"tiles_x\":4", "\"tiles_x\":4.5", "\"tiles_x\" must be"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in {text}");
+            let err = ProfileReport::parse(&bad).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -10,8 +10,13 @@
 //! artifact auditable — a reviewer can re-rank under a different figure
 //! of merit without re-measuring.
 
+use crate::uint_field;
 use xct_fp16::Precision;
 use xct_telemetry::Json;
+
+/// Lanes per warp: kernel block sizes are whole warps (`xct_spmm`'s
+/// `WARP_SIZE`, which packing asserts).
+const WARP_LANES: usize = 32;
 
 /// Schema tag stamped into every tune artifact; [`TuneReport::from_json`]
 /// rejects documents carrying any other value.
@@ -71,20 +76,35 @@ impl TunePoint {
         ])
     }
 
+    /// Decodes one point, rejecting any kernel shape the packer cannot
+    /// build: a block size that is not a positive multiple of the
+    /// 32-lane warp, zero fusing, or fewer staging bytes than one f64
+    /// slot per fused slice.
     fn from_json(json: &Json) -> Result<TunePoint, String> {
-        let field = |key: &str| -> Result<u64, String> {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("tune point missing numeric field {key:?}"))
-        };
-        Ok(TunePoint {
+        let field = |key: &str| uint_field(json, "tune point", key);
+        let point = TunePoint {
             block_size: field("block_size")? as usize,
             shared_bytes: field("shared_bytes")? as usize,
             fusing: field("fusing")? as usize,
             wall_ns: field("wall_ns")?,
             flops: field("flops")?,
-        })
+        };
+        if point.block_size == 0 || !point.block_size.is_multiple_of(WARP_LANES) {
+            return Err(format!(
+                "tune point block_size {} is not a positive multiple of {WARP_LANES}",
+                point.block_size
+            ));
+        }
+        if point.fusing == 0 {
+            return Err("tune point fusing must be nonzero".to_string());
+        }
+        if point.shared_bytes < point.fusing.saturating_mul(8) {
+            return Err(format!(
+                "tune point shared_bytes {} cannot stage fusing={} slices (needs at least fusing x 8)",
+                point.shared_bytes, point.fusing
+            ));
+        }
+        Ok(point)
     }
 }
 
@@ -152,12 +172,7 @@ impl TuneReport {
             .ok_or("document has no \"precision\" field")?
             .parse()
             .map_err(|e| format!("bad precision: {e}"))?;
-        let num = |key: &str| -> Result<usize, String> {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("document missing numeric field {key:?}"))
-        };
+        let num = |key: &str| uint_field(json, "document", key).map(|v| v as usize);
         let points = json
             .get("points")
             .and_then(Json::as_array)
@@ -272,6 +287,41 @@ mod tests {
         ]);
         let err = TuneReport::from_json(&doc).unwrap_err();
         assert!(err.contains("shared_bytes"), "{err}");
+    }
+
+    #[test]
+    fn bad_numbers_and_unpackable_shapes_are_rejected() {
+        let text = report().to_json().to_string();
+        for (from, to, needle) in [
+            (
+                "\"fusing\":1,",
+                "\"fusing\":-3,",
+                "\"fusing\" must be a non-negative integer",
+            ),
+            (
+                "\"block_size\":32,",
+                "\"block_size\":32.5,",
+                "\"block_size\" must be",
+            ),
+            (
+                "\"wall_ns\":2000000",
+                "\"wall_ns\":1e999",
+                "\"wall_ns\" must be",
+            ),
+            ("\"n\":16", "\"n\":-16", "\"n\" must be"),
+            ("\"block_size\":32,", "\"block_size\":48,", "block_size 48"),
+            ("\"fusing\":1,", "\"fusing\":0,", "fusing must be nonzero"),
+            (
+                "\"shared_bytes\":1024",
+                "\"shared_bytes\":4",
+                "shared_bytes 4",
+            ),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from} not in {text}");
+            let err = TuneReport::parse(&bad).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

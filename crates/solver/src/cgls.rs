@@ -1,4 +1,5 @@
-//! Damped CGLS: conjugate gradient on the least-squares normal equations.
+//! Damped CGLS: conjugate gradient on the least-squares normal equations,
+//! one iteration ([`CglsSolver::step`]) behind every entry point.
 
 use crate::operator::LinearOperator;
 use std::time::Instant;
@@ -64,26 +65,16 @@ pub fn cgls(op: &dyn LinearOperator, y: &[f32], config: &CglsConfig) -> CglsRepo
     cgls_in(op, y, config, &mut ExecContext::serial(), &mut |v| v)
 }
 
-/// [`cgls`] with a pluggable scalar reducer applied to every inner
-/// product. A distributed caller passes an allreduce-sum here; partial
-/// dot products from each rank then combine into global scalars, which
-/// is all CG needs to stay coherent across processes.
-pub fn cgls_with(
-    op: &dyn LinearOperator,
-    y: &[f32],
-    config: &CglsConfig,
-    reduce: &mut dyn FnMut(f64) -> f64,
-) -> CglsReport {
-    cgls_in(op, y, config, &mut ExecContext::serial(), reduce)
-}
-
-/// [`cgls_with`] running inside a caller-owned [`ExecContext`].
+/// [`cgls`] inside a caller-owned [`ExecContext`], with a pluggable
+/// scalar reducer applied to every inner product: drives a
+/// [`CglsSolver`] to the iteration cap or the tolerance.
 ///
-/// All iteration vectors (`r`, `s`, `p`, `q`) come from the context's
-/// workspace, so after the first call every subsequent solve — and every
-/// iteration within a solve — is allocation-free apart from the returned
-/// report. The caller keeps the context (and its warm buffers, counters,
-/// and executor policy) across solves.
+/// A distributed caller passes an allreduce-sum as `reduce`; partial dot
+/// products from each rank then combine into global scalars, which is
+/// all CG needs to stay coherent across processes. All iteration vectors
+/// come from the context's workspace and go back to it on return, so
+/// repeated solves — and every iteration within a solve — allocate
+/// nothing apart from the returned report.
 pub fn cgls_in(
     op: &dyn LinearOperator,
     y: &[f32],
@@ -91,97 +82,203 @@ pub fn cgls_in(
     ctx: &mut ExecContext,
     reduce: &mut dyn FnMut(f64) -> f64,
 ) -> CglsReport {
-    assert_eq!(y.len(), op.rows(), "measurement length mismatch");
-    let n = op.cols();
-    let m = op.rows();
-    let lambda = config.damping;
     // xct-allow(wall-clock): the solver report carries real wall time even with telemetry disabled
     let t0 = Instant::now();
-
-    let setup_span = ctx.telemetry.span(Phase::SolverSetup);
-    let mut x = vec![0.0f32; n];
-    // r = y − A·x = y (x starts at zero).
-    let mut r = ctx.workspace.take_uninit::<f32>(BufferRole::CgResidual, m);
-    r.copy_from_slice(y);
-    // s = Aᵀ·r − λ²·x = Aᵀ·y.
-    let mut s = ctx.workspace.take::<f32>(BufferRole::CgNormal, n);
-    op.apply_transpose(&r, &mut s, ctx);
-    let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
-    p.copy_from_slice(&s);
-    let mut gamma = reduce(dot(&s, &s));
-
-    let y_norm = reduce(dot(y, y)).sqrt();
+    let mut solver = CglsSolver::new(op, y, config.damping, ctx, reduce);
     let mut history = Vec::with_capacity(config.max_iters + 1);
     history.push(1.0f64);
     let mut times = Vec::with_capacity(config.max_iters + 1);
     times.push(t0.elapsed().as_secs_f64());
-    let mut q = ctx.workspace.take::<f32>(BufferRole::CgProjected, m);
     let mut converged = false;
-    let mut iterations = 0;
-    drop(setup_span);
-
     for _ in 0..config.max_iters {
-        let _iter_span = ctx.telemetry.span(Phase::SolverIteration);
-        if gamma <= 0.0 {
-            // Exact solution reached (gradient vanished).
-            converged = true;
+        let Some(rel) = solver.step(op, ctx, reduce) else {
+            // A vanished gradient is an exact solution; a vanished
+            // curvature (p in the null space) is a stall.
+            converged = solver.snapshot().gamma <= 0.0;
             break;
-        }
-        op.apply(&p, &mut q, ctx);
-        let mut delta = reduce(dot(&q, &q));
-        if lambda > 0.0 {
-            delta += lambda * lambda * reduce(dot(&p, &p));
-        }
-        if delta <= 0.0 {
-            break; // p in the null space; cannot progress
-        }
-        let alpha = gamma / delta;
-        axpy(alpha as f32, &p, &mut x);
-        axpy(-(alpha as f32), &q, &mut r);
-        // s = Aᵀ·r − λ²·x
-        op.apply_transpose(&r, &mut s, ctx);
-        if lambda > 0.0 {
-            let l2 = (lambda * lambda) as f32;
-            for (si, xi) in s.iter_mut().zip(&x) {
-                *si -= l2 * xi;
-            }
-        }
-        let gamma_new = reduce(dot(&s, &s));
-        let beta = gamma_new / gamma;
-        gamma = gamma_new;
-        // p = s + β·p
-        for (pi, &si) in p.iter_mut().zip(&s) {
-            *pi = si + (beta as f32) * *pi;
-        }
-
-        iterations += 1;
-        let rel = if y_norm > 0.0 {
-            reduce(dot(&r, &r)).sqrt() / y_norm
-        } else {
-            0.0
         };
         history.push(rel);
         times.push(t0.elapsed().as_secs_f64());
-        ctx.telemetry.event("cgls.residual", rel);
-        ctx.telemetry.metric_inc(MetricId::SolverIterations);
-        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
         if config.tolerance > 0.0 && rel <= config.tolerance {
             converged = true;
             break;
         }
     }
-
-    ctx.workspace.put(BufferRole::CgResidual, r);
-    ctx.workspace.put(BufferRole::CgNormal, s);
-    ctx.workspace.put(BufferRole::CgDirection, p);
-    ctx.workspace.put(BufferRole::CgProjected, q);
-
+    let iterations = solver.snapshot().iteration;
     CglsReport {
-        x,
+        x: solver.finish(ctx),
         residual_history: history,
         iterations,
         converged,
         time_history: times,
+    }
+}
+
+/// A snapshot of the CGLS Krylov state after some number of iterations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CglsSnapshot {
+    /// Iterations completed.
+    pub iteration: usize,
+    /// Current iterate.
+    pub x: Vec<f32>,
+    /// Current residual `y − A·x`.
+    pub r: Vec<f32>,
+    /// Current search direction.
+    pub p: Vec<f32>,
+    /// Current reduced `‖Aᵀr − λ²x‖²`.
+    pub gamma: f64,
+    /// Reduced `‖y‖` (for relative residuals).
+    pub y_norm: f64,
+}
+
+/// Step-at-a-time damped CGLS: the one CGLS iteration, which
+/// [`cgls_in`] drives and checkpointing callers step directly. CG's
+/// state is tiny next to the data — `x`, `r`, `p` and one scalar — and
+/// [`CglsSolver::from_snapshot`] continues the exact iterate sequence.
+///
+/// `r`, `s`, `p` and `q` come from the context's workspace (a step never
+/// allocates) and [`CglsSolver::finish`] hands them back. Every inner
+/// product passes through the caller's `reduce`: set-up reduces `s·s`
+/// then `y·y`; each step `q·q`, then `p·p` when damped, then `s·s`, then
+/// `r·r` when `‖y‖ > 0`. A resume passes the same damping and reducer
+/// again; the snapshot stores neither.
+pub struct CglsSolver {
+    snap: CglsSnapshot,
+    s: Vec<f32>,
+    q: Vec<f32>,
+    damping: f64,
+}
+
+impl CglsSolver {
+    /// Starts from `x = 0` with Tikhonov damping λ = `damping`.
+    ///
+    /// # Panics
+    /// Panics when `y` does not match the operator's row count.
+    pub fn new(
+        op: &dyn LinearOperator,
+        y: &[f32],
+        damping: f64,
+        ctx: &mut ExecContext,
+        reduce: &mut dyn FnMut(f64) -> f64,
+    ) -> Self {
+        assert_eq!(y.len(), op.rows(), "measurement length mismatch");
+        let _span = ctx.telemetry.span(Phase::SolverSetup);
+        let (m, n) = (op.rows(), op.cols());
+        // r = y − A·x = y (x starts at zero).
+        let mut r = ctx.workspace.take_uninit::<f32>(BufferRole::CgResidual, m);
+        r.copy_from_slice(y);
+        // s = Aᵀ·r − λ²·x = Aᵀ·y.
+        let mut s = ctx.workspace.take::<f32>(BufferRole::CgNormal, n);
+        op.apply_transpose(&r, &mut s, ctx);
+        let mut p = ctx.workspace.take_uninit::<f32>(BufferRole::CgDirection, n);
+        p.copy_from_slice(&s);
+        let gamma = reduce(dot(&s, &s));
+        let y_norm = reduce(dot(y, y)).sqrt();
+        CglsSolver {
+            snap: CglsSnapshot {
+                iteration: 0,
+                x: vec![0.0f32; n],
+                r,
+                p,
+                gamma,
+                y_norm,
+            },
+            s,
+            q: ctx.workspace.take::<f32>(BufferRole::CgProjected, m),
+            damping,
+        }
+    }
+
+    /// Resumes from a snapshot taken with the same `damping`.
+    ///
+    /// # Panics
+    /// Panics when the snapshot's shapes do not match the operator.
+    pub fn from_snapshot(
+        op: &dyn LinearOperator,
+        snap: CglsSnapshot,
+        damping: f64,
+        ctx: &mut ExecContext,
+    ) -> Self {
+        assert_eq!(snap.x.len(), op.cols(), "snapshot x length mismatch");
+        assert_eq!(snap.r.len(), op.rows(), "snapshot r length mismatch");
+        assert_eq!(snap.p.len(), op.cols(), "snapshot p length mismatch");
+        CglsSolver {
+            snap,
+            s: ctx.workspace.take::<f32>(BufferRole::CgNormal, op.cols()),
+            q: ctx
+                .workspace
+                .take::<f32>(BufferRole::CgProjected, op.rows()),
+            damping,
+        }
+    }
+
+    /// The current state (cheap to clone for checkpointing).
+    pub fn snapshot(&self) -> &CglsSnapshot {
+        &self.snap
+    }
+
+    /// Performs one CGLS iteration; returns the relative residual
+    /// afterwards, or `None` when the gradient has vanished (converged,
+    /// `gamma <= 0`) or the search direction lies in the null space.
+    pub fn step(
+        &mut self,
+        op: &dyn LinearOperator,
+        ctx: &mut ExecContext,
+        reduce: &mut dyn FnMut(f64) -> f64,
+    ) -> Option<f64> {
+        let _span = ctx.telemetry.span(Phase::SolverIteration);
+        let lambda = self.damping;
+        let CglsSolver { snap, s, q, .. } = self;
+        if snap.gamma <= 0.0 {
+            return None; // exact solution reached (gradient vanished)
+        }
+        op.apply(&snap.p, q, ctx);
+        let mut delta = reduce(dot(q, q));
+        if lambda > 0.0 {
+            delta += lambda * lambda * reduce(dot(&snap.p, &snap.p));
+        }
+        if delta <= 0.0 {
+            return None; // p in the null space; cannot progress
+        }
+        let alpha = snap.gamma / delta;
+        axpy(alpha as f32, &snap.p, &mut snap.x);
+        axpy(-(alpha as f32), q, &mut snap.r);
+        // s = Aᵀ·r − λ²·x
+        op.apply_transpose(&snap.r, s, ctx);
+        if lambda > 0.0 {
+            let l2 = (lambda * lambda) as f32;
+            for (si, xi) in s.iter_mut().zip(&snap.x) {
+                *si -= l2 * xi;
+            }
+        }
+        let gamma_new = reduce(dot(s, s));
+        let beta = gamma_new / snap.gamma;
+        snap.gamma = gamma_new;
+        // p = s + β·p
+        for (pi, &si) in snap.p.iter_mut().zip(s.iter()) {
+            *pi = si + (beta as f32) * *pi;
+        }
+        snap.iteration += 1;
+        let rel = if snap.y_norm > 0.0 {
+            reduce(dot(&snap.r, &snap.r)).sqrt() / snap.y_norm
+        } else {
+            0.0
+        };
+        ctx.telemetry.event("cgls.residual", rel);
+        ctx.telemetry.metric_inc(MetricId::SolverIterations);
+        ctx.telemetry.gauge_set(MetricId::SolverResidual, rel);
+        Some(rel)
+    }
+
+    /// Ends the solve: returns the iterate and hands the work vectors
+    /// back to the context's workspace for the next solve.
+    pub fn finish(self, ctx: &mut ExecContext) -> Vec<f32> {
+        let CglsSolver { snap, s, q, .. } = self;
+        ctx.workspace.put(BufferRole::CgResidual, snap.r);
+        ctx.workspace.put(BufferRole::CgNormal, s);
+        ctx.workspace.put(BufferRole::CgDirection, snap.p);
+        ctx.workspace.put(BufferRole::CgProjected, q);
+        snap.x
     }
 }
 
@@ -308,7 +405,8 @@ mod tests {
                 damping: 0.0,
             },
         );
-        let damped = cgls(
+        let mut reductions = 0usize;
+        let damped = cgls_in(
             &op,
             &y,
             &CglsConfig {
@@ -316,9 +414,16 @@ mod tests {
                 tolerance: 0.0,
                 damping: 2.0,
             },
+            &mut ExecContext::serial(),
+            &mut |v| {
+                reductions += 1;
+                v
+            },
         );
         let norm = |v: &[f32]| v.iter().map(|x| f64::from(*x).powi(2)).sum::<f64>();
         assert!(norm(&damped.x) < norm(&plain.x));
+        // Set-up reduces s·s and y·y; a damped step q·q, p·p, s·s, r·r.
+        assert_eq!(reductions, 2 + 4 * damped.iterations);
     }
 
     #[test]
@@ -338,7 +443,7 @@ mod tests {
         let mut y = vec![0.0f32; 10];
         op.apply(&x_true, &mut y, &mut ExecContext::serial());
         let mut calls = 0usize;
-        let report = cgls_with(
+        let report = cgls_in(
             &op,
             &y,
             &CglsConfig {
@@ -346,6 +451,7 @@ mod tests {
                 tolerance: 1e-10,
                 damping: 0.0,
             },
+            &mut ExecContext::serial(),
             &mut |v| {
                 calls += 1;
                 2.0 * v
@@ -408,5 +514,78 @@ mod tests {
     fn wrong_y_length_panics() {
         let op = diagonal(4);
         cgls(&op, &[1.0; 3], &CglsConfig::default());
+    }
+
+    fn stepper_problem() -> (SystemMatrix, Vec<f32>) {
+        let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 20);
+        let sm = SystemMatrix::build(&scan);
+        let x_true: Vec<f32> = (0..sm.num_voxels())
+            .map(|i| ((i * 7 + 3) % 11) as f32 / 11.0)
+            .collect();
+        let mut y = vec![0.0f32; sm.num_rays()];
+        sm.project(&x_true, &mut y);
+        (sm, y)
+    }
+
+    type Reducer = fn(f64) -> f64;
+
+    /// (damping, reducer) inputs of the resume tests: plain, damped, and
+    /// a non-identity reducer.
+    const RESUME_CASES: [(f64, Reducer); 3] = [(0.0, |v| v), (0.5, |v| v), (0.0, |v| 2.0 * v)];
+
+    #[test]
+    fn snapshot_resume_continues_exactly() {
+        let (sm, y) = stepper_problem();
+        let op = SystemMatrixOperator::new(&sm);
+        for (damping, mut reduce) in RESUME_CASES {
+            let mut ctx = ExecContext::serial();
+            // Straight run: 12 iterations.
+            let mut straight = CglsSolver::new(&op, &y, damping, &mut ctx, &mut reduce);
+            for _ in 0..12 {
+                straight.step(&op, &mut ctx, &mut reduce);
+            }
+            // Interrupted run: 5, snapshot, resume, 7 more.
+            let mut first = CglsSolver::new(&op, &y, damping, &mut ctx, &mut reduce);
+            for _ in 0..5 {
+                first.step(&op, &mut ctx, &mut reduce);
+            }
+            let saved = first.snapshot().clone();
+            drop(first);
+            let mut resumed = CglsSolver::from_snapshot(&op, saved, damping, &mut ctx);
+            for _ in 0..7 {
+                resumed.step(&op, &mut ctx, &mut reduce);
+            }
+            assert_eq!(resumed.snapshot().iteration, 12);
+            for (a, b) in resumed.snapshot().x.iter().zip(&straight.snapshot().x) {
+                assert_eq!(a.to_bits(), b.to_bits(), "resume must be bit-exact");
+            }
+        }
+    }
+
+    #[test]
+    fn step_returns_none_on_convergence() {
+        // A zero right-hand side is solved before the first step.
+        let scan = ScanGeometry::uniform(ImageGrid::square(4, 1.0), 8);
+        let sm = SystemMatrix::build(&scan);
+        let op = SystemMatrixOperator::new(&sm);
+        let y = vec![0.0f32; op.rows()];
+        let mut ctx = ExecContext::serial();
+        let mut solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |v| v);
+        assert!(
+            solver.step(&op, &mut ctx, &mut |v| v).is_none(),
+            "zero RHS converges immediately"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot x length mismatch")]
+    fn snapshot_shape_checked() {
+        let (sm, y) = stepper_problem();
+        let op = SystemMatrixOperator::new(&sm);
+        let mut ctx = ExecContext::serial();
+        let solver = CglsSolver::new(&op, &y, 0.0, &mut ctx, &mut |v| v);
+        let mut snap = solver.snapshot().clone();
+        snap.x.pop();
+        CglsSolver::from_snapshot(&op, snap, 0.0, &mut ctx);
     }
 }

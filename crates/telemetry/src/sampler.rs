@@ -66,11 +66,6 @@ impl Sampler {
     pub fn samples(&self) -> &[MetricsSnapshot] {
         &self.samples
     }
-
-    /// Consumes the sampler, returning its series.
-    pub fn into_samples(self) -> Vec<MetricsSnapshot> {
-        self.samples
-    }
 }
 
 /// Serializes a sample series as the `petaxct-metrics-v1` document.

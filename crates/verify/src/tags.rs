@@ -102,18 +102,6 @@ impl TagClaimSet {
         }
     }
 
-    /// Records every round of the dissemination barrier at `tag`.
-    pub fn claim_barrier(&mut self, n: usize, tag: u64, exchange: &str) {
-        let mut dist = 1usize;
-        while dist < n {
-            for rank in 0..n {
-                let to = (rank + dist) % n;
-                self.claim(rank, to, tag ^ ((dist as u64) << 32), exchange);
-            }
-            dist *= 2;
-        }
-    }
-
     /// Proves pairwise disjointness: no `(src, dst, tag)` triple may be
     /// claimed by two different exchanges, and no application claim may
     /// set the reserved reply bit.

@@ -44,7 +44,7 @@ fn main() {
     println!("mini brain batch: {fusing} slices x {n}x{n}, mixed precision");
     println!(
         "final residual {:.5}",
-        result.report.residual_history.last().unwrap()
+        result.residual_history.last().unwrap()
     );
     for (f, slice) in truth.iter().enumerate() {
         let piece = &result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()];

@@ -65,7 +65,7 @@ fn main() {
         println!(
             "{:>6} {:>12.5} {:>12.5}",
             iters,
-            result.report.residual_history.last().unwrap(),
+            result.residual_history.last().unwrap(),
             err
         );
         if err < best.1 {
@@ -92,7 +92,7 @@ fn main() {
         println!(
             "  {:<8} residual {:.5}  image error {:.5}",
             precision.label(),
-            result.report.residual_history.last().unwrap(),
+            result.residual_history.last().unwrap(),
             relative_error(&result.x, &chip)
         );
     }

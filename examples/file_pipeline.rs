@@ -7,7 +7,7 @@
 //! cargo run --release --example file_pipeline
 //! ```
 
-use petaxct::core::{ReconOptions, Reconstructor};
+use petaxct::core::{reconstruct_volume, ReconOptions, Reconstructor};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry};
 use petaxct::io::{FileKind, SliceFile, SliceReader, SliceWriter};
@@ -49,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- reconstruction: stream batches, reconstruct, write volume -----
     let mut reader = SliceReader::open(&sino_path)?;
-    assert_eq!(reader.meta().slice_len, recon.num_rays());
     let vol_meta = SliceFile {
         kind: FileKind::Volume,
         precision: Precision::Half,
@@ -57,49 +56,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slice_len: recon.num_voxels(),
     };
     let mut vol_writer = SliceWriter::create(&vol_path, vol_meta)?;
-    let mut batch_idx = 0;
-    let mut worst_err = 0.0f64;
-    let mut done = 0usize;
-    while let Some(batch) = reader.read_batch(io_batch)? {
-        let fusing = batch.len() / recon.num_rays();
-        let result = recon.reconstruct(
-            &batch,
-            &ReconOptions {
-                precision: Precision::Mixed,
-                fusing,
-                iterations: 30,
-                ..Default::default()
-            },
-        );
-        for f in 0..fusing {
-            let piece = &result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()];
-            vol_writer.write_slice(piece)?;
-            let truth = &truths[done + f];
-            let num: f64 = piece
-                .iter()
-                .zip(&truth.data)
-                .map(|(&a, &b)| (f64::from(a) - f64::from(b)).powi(2))
-                .sum();
-            let den: f64 = truth.data.iter().map(|&v| f64::from(v).powi(2)).sum();
-            worst_err = worst_err.max((num / den).sqrt());
-        }
-        done += fusing;
-        println!(
-            "batch {batch_idx}: reconstructed {fusing} slices fused (residual {:.5})",
-            result.report.residual_history.last().unwrap()
-        );
-        batch_idx += 1;
-    }
+    let opts = ReconOptions {
+        precision: Precision::Mixed,
+        iterations: 30,
+        ..Default::default()
+    };
+    let stats = reconstruct_volume(&recon, &mut reader, &mut vol_writer, &opts, io_batch)?;
     reader.verify_checksum()?;
     vol_writer.finish()?;
+    println!(
+        "reconstructed {} slices in {} fused batches (worst residual {:.5})",
+        stats.slices, stats.batches, stats.worst_residual
+    );
     println!("volume written to {}", vol_path.display());
+
+    // --- inspection: re-read the volume, score it, render a slice ------
+    let mut vol_reader = SliceReader::open(&vol_path)?;
+    let volume = vol_reader.read_batch(slices)?.expect("volume has slices");
+    vol_reader.verify_checksum()?;
+    let mut worst_err = 0.0f64;
+    for (piece, truth) in volume.chunks(recon.num_voxels()).zip(&truths) {
+        let num: f64 = piece
+            .iter()
+            .zip(&truth.data)
+            .map(|(&a, &b)| (f64::from(a) - f64::from(b)).powi(2))
+            .sum();
+        let den: f64 = truth.data.iter().map(|&v| f64::from(v).powi(2)).sum();
+        worst_err = worst_err.max((num / den).sqrt());
+    }
     println!("worst per-slice relative error: {worst_err:.4}");
     assert!(worst_err < 0.25, "pipeline accuracy check");
-
-    // --- inspection: render the first slice ----------------------------
-    let mut vol_reader = SliceReader::open(&vol_path)?;
-    let first = vol_reader.read_batch(1)?.expect("volume has slices");
-    let img = Image2D::from_data(n, n, first);
+    let img = Image2D::from_data(n, n, volume[..recon.num_voxels()].to_vec());
     let pgm = dir.join("slice0.pgm");
     img.write_pgm(&pgm)?;
     println!("rendered first slice to {}", pgm.display());

@@ -43,7 +43,7 @@ fn main() {
 
     // 5. Inspect convergence and reconstruction quality.
     println!("\niter  relative residual");
-    for (i, r) in result.report.residual_history.iter().enumerate() {
+    for (i, r) in result.residual_history.iter().enumerate() {
         if i % 5 == 0 {
             println!("{i:>4}  {r:.6}");
         }
@@ -59,7 +59,7 @@ fn main() {
     };
     println!(
         "\nfinal residual : {:.6}",
-        result.report.residual_history.last().unwrap()
+        result.residual_history.last().unwrap()
     );
     println!("voxel RMSE     : {rmse:.6}");
     assert!(rmse < 0.1, "quickstart reconstruction should be accurate");

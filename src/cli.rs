@@ -4,7 +4,9 @@
 //!
 //! Logic lives here (unit-testable); `main.rs` is a thin shim.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,12 +101,12 @@ impl Flags {
             .ok_or_else(|| CliError(format!("missing required --{key}")))
     }
 
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+    fn parse_or<T: FromStr<Err: Display>>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| CliError(format!("invalid value for --{key}: {v:?}"))),
+                .map_err(|e| CliError(format!("invalid value for --{key}: {v:?} ({e})"))),
         }
     }
 }
@@ -486,12 +488,44 @@ USAGE:
                       must-reject corpus sweep for both layers instead
 ";
 
+/// The flags each command reads (as its usage lists them), one
+/// `command: flag…` line each; [`run`] rejects any other before the
+/// command executes, so a typo fails instead of silently taking a
+/// default.
+const COMMAND_FLAGS: &str = "\
+simulate: phantom out n angles slices flux precision seed
+reconstruct: in out precision iterations batch damping solver tune-from topology memory-budget \
+stream overlap verify-plans wire telemetry-summary critical-path telemetry-json trace metrics-out \
+metrics-interval progress flightrec-out profile-out weights-from
+fbp: in out filter
+info: in
+render: in slice out
+model: dataset nodes precision iterations
+tune: quick out precision n angles iterations reps blocks shared fusings
+profile: n angles slices iterations precision topology tile phantom seed overlap wire out json \
+weights-from
+analyze: root self-test";
+
+/// `reconstruct` flags only the distributed CGLS path reads; the serial
+/// SIRT and TV solvers reject them.
+const DISTRIBUTED_ONLY: &str =
+    "topology memory-budget stream overlap wire verify-plans profile-out weights-from";
+
 /// Dispatches a full command line (without argv[0]).
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| CliError(USAGE.to_owned()))?;
     let flags = Flags::parse(rest)?;
+    let known = COMMAND_FLAGS
+        .lines()
+        .find_map(|l| l.strip_prefix(cmd.as_str())?.strip_prefix(':'));
+    if let Some(known) = known {
+        let unknown = |k: &str| !known.split_whitespace().any(|f| f == k);
+        if let Some((key, _)) = flags.pairs.iter().find(|(k, _)| unknown(k)) {
+            return Err(CliError(format!("unknown flag --{key} for {cmd}")));
+        }
+    }
     match cmd.as_str() {
         "simulate" => simulate(&flags),
         "reconstruct" => reconstruct(&flags),
@@ -530,11 +564,7 @@ fn simulate(flags: &Flags) -> Result<String, CliError> {
     let slices: usize = flags.parse_or("slices", 8)?;
     let flux: f64 = flags.parse_or("flux", 0.0)?;
     let seed: u64 = flags.parse_or("seed", 1)?;
-    let precision: Precision = flags
-        .get("precision")
-        .unwrap_or("single")
-        .parse()
-        .map_err(|e| CliError(format!("{e}")))?;
+    let precision: Precision = flags.parse_or("precision", Precision::Single)?;
 
     let recon = Reconstructor::new(scan_for(n, angles));
     let meta = SliceFile {
@@ -608,13 +638,34 @@ fn reconstruct_inner(
     telemetry: &Telemetry,
     tel_args: &TelemetryArgs,
 ) -> Result<String, CliError> {
+    let solver = flags.get("solver").unwrap_or("cgls").to_owned();
+    let algorithm = match solver.as_str() {
+        "cgls" => Algorithm::Cgls,
+        "sirt" => Algorithm::Sirt {
+            relaxation: 1.0,
+            nonneg: true,
+        },
+        "tv" => Algorithm::Tv {
+            lambda: 0.1,
+            epsilon: 0.005,
+        },
+        other => {
+            return Err(CliError(format!(
+                "unknown solver {other:?}; expected cgls|sirt|tv"
+            )))
+        }
+    };
+    if algorithm != Algorithm::Cgls {
+        let mut distributed = DISTRIBUTED_ONLY.split_whitespace();
+        if let Some(flag) = distributed.find(|f| flags.get(f).is_some()) {
+            return Err(CliError(format!(
+                "--{flag} applies only to the distributed CGLS path; --solver {solver} runs serially"
+            )));
+        }
+    }
     let input = flags.required("in")?.to_owned();
     let out = flags.required("out")?.to_owned();
-    let precision: Precision = flags
-        .get("precision")
-        .unwrap_or("mixed")
-        .parse()
-        .map_err(|e| CliError(format!("{e}")))?;
+    let precision: Precision = flags.parse_or("precision", Precision::Mixed)?;
     let iterations: usize = flags.parse_or("iterations", 24)?;
     // A tune artifact (petaxct tune → --tune-from) supplies the measured
     // best kernel shape; its fusing also becomes the default batch when
@@ -638,7 +689,6 @@ fn reconstruct_inner(
         topology = Some(Topology::new(1, 1, 1));
     }
 
-    let solver = flags.get("solver").unwrap_or("cgls").to_owned();
     let (mut reader, angles, n) = open_sinogram(&input)?;
     let slices = reader.meta().slices;
     let recon = Reconstructor::new(scan_for(n, angles));
@@ -655,6 +705,7 @@ fn reconstruct_inner(
         precision,
         iterations,
         damping,
+        algorithm,
         ..Default::default()
     };
     if let Some(t) = &tuned {
@@ -665,20 +716,27 @@ fn reconstruct_inner(
     // coverage is measured against a well-defined wall time.
     let total_span = telemetry.span(Phase::Total);
     let mut ctx = ExecContext::parallel().with_telemetry(telemetry.clone());
-    let outcome: Result<String, CliError> = match (solver.as_str(), &topology) {
-        ("cgls", None) => {
+    let outcome: Result<String, CliError> = match &topology {
+        None => {
             let stats =
                 reconstruct_volume_in(&recon, &mut reader, &mut writer, &opts, batch, &mut ctx)?;
             reader.verify_checksum()?;
             writer.finish()?;
-            let text = format!(
-                "reconstructed {} slices in {} batches ({} precision, {} iters/batch); worst residual {:.5}; volume in {out}",
-                stats.slices, stats.batches, precision, iterations, stats.worst_residual
-            );
+            let text = if algorithm == Algorithm::Cgls {
+                format!(
+                    "reconstructed {} slices in {} batches ({} precision, {} iters/batch); worst residual {:.5}; volume in {out}",
+                    stats.slices, stats.batches, precision, iterations, stats.worst_residual
+                )
+            } else {
+                format!(
+                    "reconstructed {} slices with {solver} ({precision} precision); volume in {out}",
+                    stats.slices
+                )
+            };
             drop(total_span);
             Ok(text + &tel_args.emit(telemetry, "reconstruct", &ctx.counters, None)?)
         }
-        ("cgls", Some(topology)) => {
+        Some(topology) => {
             // Distributed mode: plan first (the paper's §III-A3 rule
             // against the optional memory budget), statically verify the
             // plan, then execute it slab by slab — every slab runs the
@@ -796,53 +854,6 @@ fn reconstruct_inner(
                     Some(&comm_report),
                 )?)
         }
-        ("sirt", _) | ("tv", _) => {
-            let algorithm = if solver == "sirt" {
-                Algorithm::Sirt {
-                    relaxation: 1.0,
-                    nonneg: true,
-                }
-            } else {
-                Algorithm::Tv {
-                    lambda: 0.1,
-                    epsilon: 0.005,
-                }
-            };
-            // TV couples voxels within a slice grid: process per slice.
-            let per_call = if solver == "tv" { 1 } else { batch };
-            let mut done = 0;
-            loop {
-                let data = {
-                    let _io = telemetry.span(Phase::Io);
-                    reader.read_batch(per_call)?
-                };
-                let Some(data) = data else { break };
-                let fusing = data.len() / recon.num_rays();
-                let result = recon.reconstruct_with_in(
-                    &data,
-                    &ReconOptions { fusing, ..opts },
-                    algorithm,
-                    &mut ctx,
-                );
-                let _io = telemetry.span(Phase::Io);
-                for f in 0..fusing {
-                    writer.write_slice(
-                        &result.x[f * recon.num_voxels()..(f + 1) * recon.num_voxels()],
-                    )?;
-                }
-                done += fusing;
-            }
-            reader.verify_checksum()?;
-            writer.finish()?;
-            let text = format!(
-                "reconstructed {done} slices with {solver} ({precision} precision); volume in {out}"
-            );
-            drop(total_span);
-            Ok(text + &tel_args.emit(telemetry, "reconstruct", &ctx.counters, None)?)
-        }
-        (other, _) => Err(CliError(format!(
-            "unknown solver {other:?}; expected cgls|sirt|tv"
-        ))),
     };
     outcome
 }
@@ -969,11 +980,7 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
     let slices: usize = flags.parse_or("slices", 2)?;
     let iterations: usize = flags.parse_or("iterations", 4)?;
     let seed: u64 = flags.parse_or("seed", 1)?;
-    let precision: Precision = flags
-        .get("precision")
-        .unwrap_or("single")
-        .parse()
-        .map_err(|e| CliError(format!("{e}")))?;
+    let precision: Precision = flags.parse_or("precision", Precision::Single)?;
     let topology = flags
         .get("topology")
         .map(parse_topology)
@@ -1084,9 +1091,7 @@ fn tune(flags: &Flags) -> Result<String, CliError> {
     let quick = flags.switch("quick");
     let out = flags.get("out").unwrap_or("TUNE.json").to_owned();
     let mut p = TuneParams::new(quick);
-    if let Some(v) = flags.get("precision") {
-        p.precision = v.parse().map_err(|e| CliError(format!("{e}")))?;
-    }
+    p.precision = flags.parse_or("precision", p.precision)?;
     p.n = flags.parse_or("n", p.n)?;
     p.angles = flags.parse_or("angles", p.angles)?;
     p.iterations = flags.parse_or("iterations", p.iterations)?;
@@ -1143,11 +1148,7 @@ fn model(flags: &Flags) -> Result<String, CliError> {
     let dataset = flags.required("dataset")?;
     let nodes: usize = flags.parse_or("nodes", 128)?;
     let iterations: usize = flags.parse_or("iterations", 30)?;
-    let precision: Precision = flags
-        .get("precision")
-        .unwrap_or("mixed")
-        .parse()
-        .map_err(|e| CliError(format!("{e}")))?;
+    let precision: Precision = flags.parse_or("precision", Precision::Mixed)?;
     let spec = match dataset {
         "shale" => DatasetSpec::shale(),
         "chip" => DatasetSpec::chip(),
@@ -1594,6 +1595,46 @@ mod tests {
             "magic"
         ])
         .is_err());
+    }
+
+    /// [`run_cmd`] on a whitespace-separated command line.
+    fn run_words(line: &str) -> Result<String, CliError> {
+        run_cmd(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_running() {
+        // A typo of --iterations must not run the default 24 iterations.
+        let err =
+            run_words("reconstruct --in /nonexistent --out /tmp/y --iteration 2").unwrap_err();
+        assert!(err.0.contains("--iteration for reconstruct"), "{}", err.0);
+        let err = run_words("info --in /nonexistent --verbose").unwrap_err();
+        assert!(err.0.contains("--verbose for info"), "{}", err.0);
+    }
+
+    #[test]
+    fn serial_solvers_reject_distributed_only_flags() {
+        for solver in ["sirt", "tv"] {
+            let line = format!(
+                "reconstruct --in /nonexistent --out /tmp/y --solver {solver} --topology 1x2x2 --overlap"
+            );
+            let err = run_words(&line).unwrap_err();
+            assert!(err.0.contains("--topology"), "{}", err.0);
+            assert!(err.0.contains(solver), "{}", err.0);
+        }
+    }
+
+    #[test]
+    fn tune_artifact_with_an_unpackable_shape_is_an_error() {
+        let tune = tmp("cli_bad_tune.json");
+        let point = r#"{"block_size":48,"shared_bytes":4096,"fusing":1,"wall_ns":1,"flops":1}"#;
+        let doc = format!(
+            r#"{{"schema":"petaxct-tune-v1","precision":"single","n":8,"angles":8,"points":[{point}]}}"#
+        );
+        std::fs::write(&tune, doc).unwrap();
+        let line = format!("reconstruct --in /nonexistent --out /tmp/y --tune-from {tune}");
+        let err = run_words(&line).unwrap_err();
+        assert!(err.0.contains("block_size 48"), "{}", err.0);
     }
 
     #[test]
