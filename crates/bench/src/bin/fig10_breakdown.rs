@@ -13,6 +13,7 @@ use xct_core::model::{HierarchyRatios, ModelExperiment, OptLevel};
 use xct_core::Partitioning;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+use xct_plan::{Planner, VolumeDims};
 use xct_telemetry::{Breakdown, Telemetry};
 
 fn main() {
@@ -135,15 +136,24 @@ fn main() {
     let mut y = vec![0.0f32; sm.num_rays()];
     sm.project(&x_true, &mut y);
     let telemetry = Telemetry::enabled();
-    let cfg = DistributedConfig {
-        topology: Topology::new(2, 2, 2),
+    let plan = Planner {
         precision: Precision::Mixed,
-        iterations: 10,
         hierarchical: true,
+        ..Default::default()
+    }
+    .plan(
+        VolumeDims { n: 24, slices: 1 },
+        24,
+        None,
+        Topology::new(2, 2, 2),
+    )
+    .expect("plan");
+    let cfg = DistributedConfig {
+        iterations: 10,
         telemetry: telemetry.clone(),
         ..Default::default()
     };
-    let result = reconstruct_distributed(&scan, &y, &cfg);
+    let result = reconstruct_distributed(&scan, &y, &plan, &cfg);
     let breakdown = Breakdown::from_snapshot(&telemetry.snapshot());
     println!("{}", breakdown.render_table());
     println!("merged rank counters: {}", result.counters);

@@ -16,6 +16,7 @@ use xct_core::model::{HierarchyRatios, ModelExperiment, OptLevel};
 use xct_core::Partitioning;
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+use xct_plan::{Planner, VolumeDims};
 use xct_telemetry::{Phase, Telemetry};
 
 fn run(precision: Precision, hier: bool, overlap: bool) -> xct_core::model::ModelEstimate {
@@ -86,21 +87,28 @@ fn measured_comparison(quick: bool) {
         bytes_per_sec: 50e6,
         ranks_per_node: topology.size() / 2,
     };
-    let cfg = |overlap: bool, telemetry: Telemetry| DistributedConfig {
-        topology,
-        precision: Precision::Single,
-        fusing,
-        hierarchical: true,
-        overlap,
-        wire: Some(wire),
-        iterations,
-        telemetry,
-        ..Default::default()
+    let recon = |overlap: bool, telemetry: Telemetry| {
+        let plan = Planner {
+            precision: Precision::Single,
+            hierarchical: true,
+            overlap,
+            max_fusing: fusing,
+            kernel: None,
+        }
+        .plan(VolumeDims { n, slices: fusing }, n, None, topology)
+        .expect("plan");
+        let cfg = DistributedConfig {
+            wire: Some(wire),
+            iterations,
+            telemetry,
+            ..Default::default()
+        };
+        reconstruct_distributed(&scan, &y, &plan, &cfg)
     };
 
     // Results must be bit-identical: overlap is a pure scheduling change.
-    let sync_result = reconstruct_distributed(&scan, &y, &cfg(false, Telemetry::disabled()));
-    let over_result = reconstruct_distributed(&scan, &y, &cfg(true, Telemetry::disabled()));
+    let sync_result = recon(false, Telemetry::disabled());
+    let over_result = recon(true, Telemetry::disabled());
     assert_eq!(
         sync_result.x, over_result.x,
         "overlap must not change the reconstruction"
@@ -111,7 +119,7 @@ fn measured_comparison(quick: bool) {
     for _ in 0..reps {
         for (overlap, best) in [(false, &mut t_sync), (true, &mut t_over)] {
             let start = Instant::now();
-            let r = reconstruct_distributed(&scan, &y, &cfg(overlap, Telemetry::disabled()));
+            let r = recon(overlap, Telemetry::disabled());
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(r.x.len(), sm.num_voxels() * fusing);
             if elapsed < *best {
@@ -123,7 +131,7 @@ fn measured_comparison(quick: bool) {
     // Feed the discrete-event model the *measured* per-slice activity
     // times from a traced synchronous run and compare its prediction.
     let telemetry = Telemetry::enabled();
-    reconstruct_distributed(&scan, &y, &cfg(false, telemetry.clone()));
+    recon(false, telemetry.clone());
     let snap = telemetry.snapshot();
     let mb = MinibatchWork {
         kernel: avg_span_secs(&snap, Phase::SpmmForward),

@@ -43,7 +43,7 @@ pub use plan::{DirectPlan, Footprints, HierarchicalPlan, Ownership, PlanError, R
 pub use runtime::{
     run_ranks, run_ranks_chaos, run_ranks_chaos_traced, run_ranks_traced, run_ranks_traced_wired,
     run_ranks_with_timeout, Backoff, ChaosMode, ChaosSchedule, CommError, Communicator,
-    RecvRequest, SubCommunicator, WireModel, REPLY_TAG_SALT,
+    RecvRequest, WireModel, REPLY_TAG_SALT,
 };
 pub use topology::{CommLevel, Topology};
 pub use wire::Wire;

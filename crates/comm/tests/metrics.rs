@@ -142,8 +142,8 @@ fn traced_ranks_record_per_level_spans_on_their_own_tracks() {
 /// The `comm.wait` backoff used to be tune-blind: nothing measured how
 /// often a bounded-backoff wait spun, yielded, or slept, so its
 /// constants could never be tuned against evidence. Worse, the drain
-/// loops re-entered `test_backoff` in a `while`, restarting the ladder
-/// at the yield rung every call — the wait never escalated to parks and
+/// loops re-entered a self-contained backoff helper in a `while`,
+/// restarting the ladder at the yield rung every call — the wait never escalated to parks and
 /// burned the core the compute pipeline needed. Under a wire model that
 /// holds the message back long enough to exhaust the yield phase, a
 /// loop-owned [`Backoff`] must (a) reach its parking tier and (b) keep

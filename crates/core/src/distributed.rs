@@ -3,6 +3,15 @@
 //! partial-data exchanges between (back)projections and a distributed
 //! CGLS on top (paper §III, end to end, at mini scale).
 //!
+//! A [`ReconPlan`] is the only description of a run's shape (topology,
+//! precision, exchange mode, overlap, fusing, kernel shape, tile
+//! weights); [`DistributedConfig`] holds the runtime knobs the plan does
+//! not own. Everything that depends on the plan alone — the system
+//! matrix, the Hilbert decomposition, the compiled exchange plans, their
+//! verification and every rank's packed operator — is built once per
+//! plan and reused by every slab, as the paper partitions the x–z plane
+//! once and streams minibatches through memoized plans (§III-A3).
+//!
 //! Forward projection per iteration: each rank runs the buffered SpMM on
 //! its voxel subdomain one fused slice at a time → partial sinogram over
 //! its footprint → hierarchical (or direct) reduce to ray owners through
@@ -12,42 +21,32 @@
 //! factor for half-precision wire data is agreed on globally with a
 //! max-allreduce (§III-C1 applied across ranks).
 //!
-//! With [`DistributedConfig::overlap`] the fused slices form a
-//! double-buffered software pipeline (paper §III-E, Figs 11–12): slice
-//! `s`'s global exchange drains via posted irecvs while slice `s+1` runs
-//! its local SpMM and socket/node reductions. Results are bit-identical
-//! to the synchronous schedule — the same floating-point operations run
-//! in the same order; only the waiting moves.
+//! With [`ReconPlan::overlap`] the fused slices form a double-buffered
+//! software pipeline (paper §III-E, Figs 11–12): slice `s`'s global
+//! exchange drains via posted irecvs while slice `s+1` runs its local
+//! SpMM and socket/node reductions. Results are bit-identical to the
+//! synchronous schedule — the same floating-point operations run in the
+//! same order; only the waiting moves.
 
 use crate::decompose::SliceDecomposition;
 use crate::pipeline::run_pipeline;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use xct_comm::{
     run_ranks_traced_wired, Communicator, CompiledPlans, DirectPlan, ExchangeScratch,
-    GlobalInFlight, HierarchicalPlan, RankCommStats, ScatterInFlight, Topology, Wire, WireModel,
+    GlobalInFlight, HierarchicalPlan, RankCommStats, ScatterInFlight, Wire, WireModel,
 };
 use xct_exec::{BufferRole, ExecContext, ExecCounters, Telemetry};
 use xct_fp16::{Precision, F16};
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_plan::ReconPlan;
+use xct_plan::{KernelShape, ReconPlan};
 use xct_solver::{cgls_in, CglsConfig, LinearOperator, PrecisionOperator};
 
-/// Distributed run configuration.
+/// Runtime knobs of a distributed run. The run's shape (topology,
+/// precision, exchange mode, overlap, fusing, tuned kernel shape, tile
+/// weights) comes from its [`ReconPlan`].
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
-    /// Node structure; rank count = `topology.size()`.
-    pub topology: Topology,
-    /// Precision mode (storage + wire + compute).
-    pub precision: Precision,
-    /// Slices reconstructed simultaneously (the minibatch/fusing factor).
-    pub fusing: usize,
-    /// Hierarchical (true) or direct (false) partial-data exchange.
-    pub hierarchical: bool,
-    /// Pipeline the fused slices so each slice's global exchange overlaps
-    /// the next slice's local SpMM and socket/node reductions (§III-E).
-    /// Output is bit-identical to the synchronous schedule.
-    pub overlap: bool,
     /// Optional simulated wire time for inter-node messages. The
     /// in-process transport is a memcpy, so without this, overlap has no
     /// wire time to hide; with it, comm-bound behavior (and overlap's
@@ -56,11 +55,14 @@ pub struct DistributedConfig {
     pub wire: Option<WireModel>,
     /// CG iterations.
     pub iterations: usize,
-    /// Hilbert tile size for both domain decompositions.
+    /// Hilbert tile size for both domain decompositions, unless the plan
+    /// carries tile weights ([`DistributedConfig::tile_for`]).
     pub tile: usize,
-    /// Threads per simulated GPU block.
+    /// Threads per simulated GPU block, unless the plan carries a tuned
+    /// kernel shape ([`DistributedConfig::kernel_for`]).
     pub block_size: usize,
-    /// Staging-buffer bytes per block.
+    /// Staging-buffer bytes per block, unless the plan carries a tuned
+    /// kernel shape.
     pub shared_bytes: usize,
     /// Telemetry sink shared by all rank threads. Disabled by default —
     /// pass [`Telemetry::enabled`] to collect per-rank spans (each rank
@@ -72,21 +74,11 @@ pub struct DistributedConfig {
     /// any violation. Always on in debug builds; this flag (the CLI's
     /// `--verify-plans`) extends the check to release builds.
     pub verify_plans: bool,
-    /// Measured per-tile cost weights (`--weights-from`): when present,
-    /// the x–z Hilbert partition balances these instead of uniform cell
-    /// counts, so measured-hot tiles get fewer neighbors per rank. The
-    /// weight table's tile size must match [`DistributedConfig::tile`].
-    pub tile_weights: Option<xct_plan::TileWeights>,
 }
 
 impl Default for DistributedConfig {
     fn default() -> Self {
         DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Mixed,
-            fusing: 1,
-            hierarchical: true,
-            overlap: false,
             wire: None,
             iterations: 30,
             tile: 4,
@@ -94,26 +86,29 @@ impl Default for DistributedConfig {
             shared_bytes: 48 * 1024,
             telemetry: Telemetry::disabled(),
             verify_plans: false,
-            tile_weights: None,
         }
     }
 }
 
 impl DistributedConfig {
-    /// Configuration executing `plan`: topology, precision, exchange
-    /// mode, overlap, and fusing come from the plan; runtime knobs
-    /// (wire model, iterations, telemetry, plan verification) keep
-    /// their defaults for the caller to override afterwards.
-    pub fn from_plan(plan: &ReconPlan) -> Self {
-        DistributedConfig {
-            topology: plan.topology,
-            precision: plan.precision,
-            fusing: plan.fusing,
-            hierarchical: plan.hierarchical,
-            overlap: plan.overlap,
-            tile_weights: plan.tile_weights.clone(),
-            ..Default::default()
-        }
+    /// Hilbert tile size a run of `plan` decomposes at: the tile size
+    /// the plan's measured weights were taken at (`--weights-from`),
+    /// else [`DistributedConfig::tile`].
+    pub fn tile_for(&self, plan: &ReconPlan) -> usize {
+        plan.tile_weights
+            .as_ref()
+            .map_or(self.tile, |tw| tw.tile_size)
+    }
+
+    /// Kernel tile shape a run of `plan` packs its operators with: the
+    /// plan's tuned shape (`--tune-from`), else
+    /// [`DistributedConfig::block_size`] and
+    /// [`DistributedConfig::shared_bytes`].
+    pub fn kernel_for(&self, plan: &ReconPlan) -> KernelShape {
+        plan.kernel.unwrap_or(KernelShape {
+            block_size: self.block_size,
+            shared_bytes: self.shared_bytes,
+        })
     }
 }
 
@@ -142,15 +137,18 @@ fn slice_salt(f: usize) -> u64 {
     ((f as u64) + 1) << 44
 }
 
-/// One rank's distributed operator: local optimized kernels plus compiled
-/// plan-driven exchanges. The local operator is built with an internal
-/// fusing of 1 — slices run one at a time so the software pipeline can
-/// interleave slice `s+1`'s kernels with slice `s`'s in-flight exchange.
+/// One rank's distributed operator over `fusing` slices: local optimized
+/// kernels plus compiled plan-driven exchanges. The local operator is
+/// packed with an internal fusing of 1 — slices run one at a time so the
+/// software pipeline can interleave slice `s+1`'s kernels with slice
+/// `s`'s in-flight exchange.
 struct RankOperator<'a> {
     comm: &'a Communicator,
-    cfg: &'a DistributedConfig,
+    precision: Precision,
+    overlap: bool,
+    fusing: usize,
     plans: &'a CompiledPlans,
-    local: PrecisionOperator,
+    local: &'a PrecisionOperator,
     /// Reusable exchange buffers; a (never-contended) `Mutex` because
     /// `LinearOperator` takes `&self` and requires `Sync`, while the
     /// exchange needs scratch mutably. Each rank thread owns its
@@ -168,7 +166,7 @@ impl RankOperator<'_> {
     /// contributions from different ranks combine coherently (§III-C1
     /// across ranks). Identity for full-width wire formats.
     fn normalization(&self, tag: u64, vals: &[f32]) -> (f32, f32) {
-        match self.cfg.precision {
+        match self.precision {
             Precision::Half | Precision::Mixed => {
                 let local_max = vals.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
                 let global_max = self
@@ -198,7 +196,7 @@ impl RankOperator<'_> {
         let rp = self.plans.rank(self.rank);
         let partial = ctx
             .workspace
-            .take::<f32>(BufferRole::Forward, self.footprint_len * self.cfg.fusing);
+            .take::<f32>(BufferRole::Forward, self.footprint_len * self.fusing);
         struct Fwd<'s> {
             x: &'s [f32],
             y: &'s mut [f32],
@@ -214,8 +212,8 @@ impl RankOperator<'_> {
             undo: 1.0,
         };
         run_pipeline(
-            self.cfg.fusing,
-            self.cfg.overlap,
+            self.fusing,
+            self.overlap,
             &mut st,
             |st: &mut Fwd, f| {
                 self.comm.telemetry().profile_slice_set(f as u32);
@@ -269,7 +267,7 @@ impl RankOperator<'_> {
         let (factor, undo) = self.normalization(0x7100, y);
         let footprint_vals = ctx
             .workspace
-            .take::<f32>(BufferRole::Footprint, self.footprint_len * self.cfg.fusing);
+            .take::<f32>(BufferRole::Footprint, self.footprint_len * self.fusing);
         struct Bwd<'s> {
             y: &'s [f32],
             x: &'s mut [f32],
@@ -283,8 +281,8 @@ impl RankOperator<'_> {
             ctx,
         };
         run_pipeline(
-            self.cfg.fusing,
-            self.cfg.overlap,
+            self.fusing,
+            self.overlap,
             &mut st,
             |_: &mut Bwd, _| {}, // scatters need no local pre-compute
             |st, f| -> ScatterInFlight {
@@ -322,15 +320,15 @@ impl RankOperator<'_> {
 
 impl LinearOperator for RankOperator<'_> {
     fn rows(&self) -> usize {
-        self.owned_rays_len * self.cfg.fusing
+        self.owned_rays_len * self.fusing
     }
 
     fn cols(&self) -> usize {
-        self.owned_vox_len * self.cfg.fusing
+        self.owned_vox_len * self.fusing
     }
 
     fn apply(&self, x: &[f32], y: &mut [f32], ctx: &mut ExecContext) {
-        match self.cfg.precision {
+        match self.precision {
             Precision::Double => self.apply_as::<f64>(x, y, ctx),
             Precision::Single => self.apply_as::<f32>(x, y, ctx),
             Precision::Half | Precision::Mixed => self.apply_as::<F16>(x, y, ctx),
@@ -338,7 +336,7 @@ impl LinearOperator for RankOperator<'_> {
     }
 
     fn apply_transpose(&self, y: &[f32], x: &mut [f32], ctx: &mut ExecContext) {
-        match self.cfg.precision {
+        match self.precision {
             Precision::Double => self.apply_transpose_as::<f64>(y, x, ctx),
             Precision::Single => self.apply_transpose_as::<f32>(y, x, ctx),
             Precision::Half | Precision::Mixed => self.apply_transpose_as::<F16>(y, x, ctx),
@@ -354,15 +352,16 @@ impl LinearOperator for RankOperator<'_> {
 fn record_rebalance_decision(
     scan: &ScanGeometry,
     ranks: usize,
-    cfg: &DistributedConfig,
+    tile: usize,
+    telemetry: &Telemetry,
     weights: &[u64],
 ) {
-    if !cfg.telemetry.is_enabled() {
+    if !telemetry.is_enabled() {
         return;
     }
     let tomo = TileDecomposition::new(
         Domain2D::new(scan.grid.nx, scan.grid.nz),
-        cfg.tile,
+        tile,
         CurveKind::Hilbert,
     );
     let mut uniform_owner = std::collections::HashMap::new();
@@ -379,156 +378,269 @@ fn record_rebalance_decision(
             }
         }
     }
-    cfg.telemetry
-        .flight_point("rebalance.decision", moved, tomo.num_tiles() as u64);
+    telemetry.flight_point("rebalance.decision", moved, tomo.num_tiles() as u64);
 }
 
-/// Runs a complete distributed reconstruction of `fusing` slices that
-/// share the geometry `scan`. `sinogram` is slice-major
-/// (`fusing × num_rays`). Returns the assembled volume.
-pub fn reconstruct_distributed(
-    scan: &ScanGeometry,
-    sinogram: &[f32],
-    cfg: &DistributedConfig,
-) -> DistributedResult {
-    let sm = SystemMatrix::build(scan);
-    assert_eq!(
-        sinogram.len(),
-        sm.num_rays() * cfg.fusing,
-        "sinogram length mismatch"
-    );
-    let ranks = cfg.topology.size();
-    if let Some(tw) = &cfg.tile_weights {
-        assert_eq!(
-            tw.tile_size, cfg.tile,
-            "weights were measured at tile size {}, run uses {}",
-            tw.tile_size, cfg.tile
-        );
-        record_rebalance_decision(scan, ranks, cfg, &tw.weights);
+/// Rejects a `plan` made for another scan: with another volume, detector
+/// or angle count, its decomposition and its budget arithmetic would not
+/// describe the operator that runs.
+fn check_plan(scan: &ScanGeometry, plan: &ReconPlan) -> Result<(), String> {
+    let n = plan.dims.n;
+    if scan.detector.channels != n || scan.grid.nx != n || scan.grid.nz != n {
+        return Err(format!(
+            "plan made for n = {n}, scan has a {}x{} grid and {} channels",
+            scan.grid.nx, scan.grid.nz, scan.detector.channels
+        ));
     }
-    let decomp = SliceDecomposition::build_weighted(
-        &sm,
-        scan,
-        ranks,
-        cfg.tile,
-        CurveKind::Hilbert,
-        cfg.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
-    );
-    let ownership = decomp.ray_ownership();
-    let direct = DirectPlan::build(&decomp.footprints, &ownership);
-    let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
+    if scan.angles.len() != plan.angles {
+        return Err(format!(
+            "plan made for {} angles, scan has {}",
+            plan.angles,
+            scan.angles.len()
+        ));
+    }
+    Ok(())
+}
 
-    let comm_elements = if cfg.hierarchical {
-        hier.level_elements()
-    } else {
-        (0, 0, direct.total_elements())
-    };
-    // Compile the plan once into per-peer index tables; every rank then
-    // executes pure index arithmetic with zero steady-state allocations.
-    let compiled = if cfg.hierarchical {
-        CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier)
-    } else {
-        CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct)
-    };
-    // Debug builds always statically verify the plan before running it;
-    // release builds do so under `--verify-plans`.
-    if cfg.verify_plans || cfg!(debug_assertions) {
-        let report = if cfg.hierarchical {
-            xct_verify::verify_all_hierarchical(
-                &decomp.footprints,
-                &ownership,
-                &cfg.topology,
-                &hier,
-                &compiled,
-                cfg.overlap,
-            )
+/// Everything a distributed run of one plan builds once and every slab
+/// reuses: the Hilbert decomposition, the compiled exchange plans
+/// (statically verified in debug builds and under `--verify-plans`) and
+/// each rank's packed local operator. None of it depends on how many
+/// slices a slab fuses.
+pub(crate) struct RunSetup<'p> {
+    plan: &'p ReconPlan,
+    kernel: KernelShape,
+    num_rays: usize,
+    num_voxels: usize,
+    decomp: SliceDecomposition,
+    compiled: CompiledPlans,
+    comm_elements: (u64, u64, u64),
+    /// Packed by each rank's own thread on its first slab, so ranks pack
+    /// in parallel and later slabs reuse the packing.
+    locals: Vec<OnceLock<PrecisionOperator>>,
+}
+
+impl<'p> RunSetup<'p> {
+    /// Checks `plan` against `scan` and builds its set-up; the error
+    /// names the mismatch.
+    pub(crate) fn new(
+        scan: &ScanGeometry,
+        plan: &'p ReconPlan,
+        cfg: &DistributedConfig,
+    ) -> Result<Self, String> {
+        check_plan(scan, plan)?;
+        let sm = SystemMatrix::build(scan);
+        let ranks = plan.ranks();
+        let tile = cfg.tile_for(plan);
+        let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
+        if let Some(w) = weights {
+            record_rebalance_decision(scan, ranks, tile, &cfg.telemetry, w);
+        }
+        let decomp =
+            SliceDecomposition::build_weighted(&sm, scan, ranks, tile, CurveKind::Hilbert, weights);
+        let ownership = decomp.ray_ownership();
+        let direct = DirectPlan::build(&decomp.footprints, &ownership);
+        let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &plan.topology);
+
+        let comm_elements = if plan.hierarchical {
+            hier.level_elements()
         } else {
-            xct_verify::verify_all_direct(
-                &decomp.footprints,
-                &ownership,
-                &direct,
-                &compiled,
-                cfg.overlap,
-            )
+            (0, 0, direct.total_elements())
         };
-        report.assert_ok("communication plan");
+        // Compile the plan once into per-peer index tables; every rank then
+        // executes pure index arithmetic with zero steady-state allocations.
+        let compiled = if plan.hierarchical {
+            CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier)
+        } else {
+            CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct)
+        };
+        // Debug builds always statically verify the plan before running it;
+        // release builds do so under `--verify-plans`.
+        if cfg.verify_plans || cfg!(debug_assertions) {
+            let report = if plan.hierarchical {
+                xct_verify::verify_all_hierarchical(
+                    &decomp.footprints,
+                    &ownership,
+                    &plan.topology,
+                    &hier,
+                    &compiled,
+                    plan.overlap,
+                )
+            } else {
+                xct_verify::verify_all_direct(
+                    &decomp.footprints,
+                    &ownership,
+                    &direct,
+                    &compiled,
+                    plan.overlap,
+                )
+            };
+            report.assert_ok("communication plan");
+        }
+        Ok(RunSetup {
+            plan,
+            kernel: cfg.kernel_for(plan),
+            locals: (0..ranks).map(|_| OnceLock::new()).collect(),
+            num_rays: sm.num_rays(),
+            num_voxels: sm.num_voxels(),
+            decomp,
+            compiled,
+            comm_elements,
+        })
     }
 
-    let outputs = run_ranks_traced_wired(ranks, &cfg.telemetry, cfg.wire, |comm| {
+    /// `rank`'s distributed operator over `fusing` slices.
+    fn rank_operator<'a>(&'a self, comm: &'a Communicator, fusing: usize) -> RankOperator<'a> {
         let rank = comm.rank();
-        let op_local = &decomp.local_ops[rank];
-        // Internal fusing of 1: the rank operator pipelines slices itself.
-        let local = PrecisionOperator::new(
-            &op_local.csr,
-            cfg.precision,
-            1,
-            cfg.block_size,
-            cfg.shared_bytes,
-        );
-        let rank_op = RankOperator {
+        // Internal fusing of 1: the rank operator pipelines slices itself,
+        // so one packing serves every slab width.
+        let local = self.locals[rank].get_or_init(|| {
+            let csr = &self.decomp.local_ops[rank].csr;
+            let KernelShape {
+                block_size,
+                shared_bytes,
+            } = self.kernel;
+            PrecisionOperator::new(csr, self.plan.precision, 1, block_size, shared_bytes)
+        });
+        RankOperator {
             comm,
-            cfg,
-            plans: &compiled,
+            precision: self.plan.precision,
+            overlap: self.plan.overlap,
+            fusing,
+            plans: &self.compiled,
             local,
             scratch: Mutex::new(ExchangeScratch::new()),
             rank,
-            footprint_len: op_local.rows.len(),
-            owned_rays_len: decomp.owned_rays[rank].len(),
-            owned_vox_len: decomp.owned_voxels[rank].len(),
-        };
-        let y_local = decomp.restrict_sinogram(sinogram, sm.num_rays(), cfg.fusing, rank);
-        let mut tag = 0x9000u64;
-        // One context per rank — each simulated GPU owns its workspace.
-        // The rank's telemetry handle is the communicator's fork, so
-        // solver spans and exchange spans nest on one per-rank track.
-        let mut ctx = ExecContext::serial()
-            .with_precision(cfg.precision)
-            .with_telemetry(comm.telemetry().clone());
-        let report = cgls_in(
-            &rank_op,
-            &y_local,
-            &CglsConfig {
-                max_iters: cfg.iterations,
-                tolerance: 0.0,
-                damping: 0.0,
-            },
-            &mut ctx,
-            &mut |v| {
-                tag = tag.wrapping_add(2);
-                // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
-                comm.allreduce_sum(tag, v).expect("allreduce_sum")
-            },
-        );
-        (
-            report.x,
-            report.residual_history,
-            comm.comm_stats(),
-            ctx.counters,
-        )
-    });
+            footprint_len: self.decomp.local_ops[rank].rows.len(),
+            owned_rays_len: self.decomp.owned_rays[rank].len(),
+            owned_vox_len: self.decomp.owned_voxels[rank].len(),
+        }
+    }
 
-    let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
-    let x = decomp.assemble_volume(&pieces, sm.num_voxels(), cfg.fusing);
-    let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
-    let mut counters = ExecCounters::default();
-    for (_, _, _, c) in &outputs {
-        counters.merge(c);
+    /// Reconstructs `fusing` slices sharing the plan's geometry from
+    /// their slice-major sinogram (`fusing × num_rays`).
+    pub(crate) fn solve(
+        &self,
+        sinogram: &[f32],
+        fusing: usize,
+        cfg: &DistributedConfig,
+    ) -> DistributedResult {
+        let precision = self.plan.precision;
+        let outputs = run_ranks_traced_wired(self.plan.ranks(), &cfg.telemetry, cfg.wire, |comm| {
+            let rank_op = self.rank_operator(comm, fusing);
+            let y_local =
+                self.decomp
+                    .restrict_sinogram(sinogram, self.num_rays, fusing, comm.rank());
+            let mut tag = 0x9000u64;
+            // One context per rank — each simulated GPU owns its workspace.
+            // The rank's telemetry handle is the communicator's fork, so
+            // solver spans and exchange spans nest on one per-rank track.
+            let mut ctx = ExecContext::serial()
+                .with_precision(precision)
+                .with_telemetry(comm.telemetry().clone());
+            let report = cgls_in(
+                &rank_op,
+                &y_local,
+                &CglsConfig {
+                    max_iters: cfg.iterations,
+                    tolerance: 0.0,
+                    damping: 0.0,
+                },
+                &mut ctx,
+                &mut |v| {
+                    tag = tag.wrapping_add(2);
+                    // xct-allow(no-panic): comm ops execute a verified plan; a wire fault mid-iteration is unrecoverable
+                    comm.allreduce_sum(tag, v).expect("allreduce_sum")
+                },
+            );
+            (
+                report.x,
+                report.residual_history,
+                comm.comm_stats(),
+                ctx.counters,
+            )
+        });
+
+        let pieces: Vec<Vec<f32>> = outputs.iter().map(|(x, _, _, _)| x.clone()).collect();
+        let x = self
+            .decomp
+            .assemble_volume(&pieces, self.num_voxels, fusing);
+        let comm_stats: Vec<RankCommStats> = outputs.iter().map(|(_, _, s, _)| s.clone()).collect();
+        let mut counters = ExecCounters::default();
+        for (_, _, _, c) in &outputs {
+            counters.merge(c);
+        }
+        DistributedResult {
+            x,
+            residual_history: outputs[0].1.clone(),
+            comm_elements: self.comm_elements,
+            comm_stats,
+            counters,
+        }
     }
-    DistributedResult {
-        x,
-        residual_history: outputs[0].1.clone(),
-        comm_elements,
-        comm_stats,
-        counters,
-    }
+}
+
+/// Runs a complete distributed reconstruction of the one-slab `plan`
+/// against `scan`: all `plan.dims.slices` slices fused in one resident
+/// pass. `sinogram` is slice-major (`slices × num_rays`). Returns the
+/// assembled volume. Multi-slab plans stream through
+/// [`crate::reconstruct_planned`].
+///
+/// # Panics
+/// Panics if the plan has more than one slab, describes another scan,
+/// or the sinogram length does not match it.
+pub fn reconstruct_distributed(
+    scan: &ScanGeometry,
+    sinogram: &[f32],
+    plan: &ReconPlan,
+    cfg: &DistributedConfig,
+) -> DistributedResult {
+    assert_eq!(
+        plan.slabs.len(),
+        1,
+        "reconstruct_distributed runs one-slab plans; stream the rest with reconstruct_planned"
+    );
+    assert_eq!(
+        sinogram.len(),
+        scan.num_rays() * plan.dims.slices,
+        "sinogram length mismatch"
+    );
+    RunSetup::new(scan, plan, cfg)
+        // xct-allow(no-panic): a plan made for another scan is a caller bug, like a wrong sinogram length
+        .unwrap_or_else(|mismatch| panic!("{mismatch}"))
+        .solve(sinogram, plan.dims.slices, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xct_comm::run_ranks;
+    use xct_comm::{run_ranks, Topology};
     use xct_geometry::ImageGrid;
+    use xct_plan::{Planner, VolumeDims};
     use xct_solver::{cgls, CglsConfig, SystemMatrixOperator};
+
+    /// `p`'s one-slab plan fusing all `slices` slices of `scan`.
+    fn one_slab(p: Planner, scan: &ScanGeometry, slices: usize, topo: Topology) -> ReconPlan {
+        let (n, angles, max_fusing) = (scan.grid.nx, scan.angles.len(), slices);
+        Planner { max_fusing, ..p }
+            .plan(VolumeDims { n, slices }, angles, None, topo)
+            .unwrap()
+    }
+
+    /// Single precision, hierarchical exchange, no overlap.
+    const SINGLE: Planner = Planner {
+        precision: Precision::Single,
+        hierarchical: true,
+        overlap: false,
+        max_fusing: 1,
+        kernel: None,
+    };
+
+    /// [`SINGLE`] with the direct exchange.
+    const DIRECT: Planner = Planner {
+        hierarchical: false,
+        ..SINGLE
+    };
 
     fn phantom_sinogram(scan: &ScanGeometry, fusing: usize) -> (SystemMatrix, Vec<f32>, Vec<f32>) {
         let sm = SystemMatrix::build(scan);
@@ -583,15 +695,12 @@ mod tests {
             },
         );
         // Distributed, single precision (no quantization noise), direct.
+        let plan = one_slab(DIRECT, &scan, 1, Topology::new(1, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing: 1,
-            hierarchical: false,
             iterations: 12,
             ..Default::default()
         };
-        let dist = reconstruct_distributed(&scan, &y, &cfg);
+        let dist = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let err = rel_err(&dist.x, &reference.x);
         assert!(err < 5e-3, "distributed vs reference error {err}");
         // Residual histories agree too.
@@ -608,29 +717,15 @@ mod tests {
     fn hierarchical_equals_direct_distributed() {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
-        let base = DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Single,
-            fusing: 1,
+        let cfg = DistributedConfig {
             iterations: 8,
             ..Default::default()
         };
-        let direct = reconstruct_distributed(
-            &scan,
-            &y,
-            &DistributedConfig {
-                hierarchical: false,
-                ..base.clone()
-            },
-        );
-        let hier = reconstruct_distributed(
-            &scan,
-            &y,
-            &DistributedConfig {
-                hierarchical: true,
-                ..base
-            },
-        );
+        let run = |planner| {
+            let plan = one_slab(planner, &scan, 1, Topology::new(2, 2, 2));
+            reconstruct_distributed(&scan, &y, &plan, &cfg)
+        };
+        let (direct, hier) = (run(DIRECT), run(SINGLE));
         let err = rel_err(&hier.x, &direct.x);
         assert!(err < 1e-4, "hierarchical vs direct error {err}");
     }
@@ -639,15 +734,12 @@ mod tests {
     fn mixed_precision_distributed_converges() {
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 20);
         let (sm, x_true, y) = phantom_sinogram(&scan, 1);
+        let plan = one_slab(Planner::default(), &scan, 1, Topology::new(2, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Mixed,
-            fusing: 1,
-            hierarchical: true,
             iterations: 25,
             ..Default::default()
         };
-        let dist = reconstruct_distributed(&scan, &y, &cfg);
+        let dist = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let _ = sm;
         let err = rel_err(&dist.x, &x_true);
         assert!(err < 0.15, "mixed distributed reconstruction error {err}");
@@ -665,15 +757,12 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 16);
         let fusing = 3;
         let (sm, x_true, y) = phantom_sinogram(&scan, fusing);
+        let plan = one_slab(SINGLE, &scan, fusing, Topology::new(1, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing,
-            hierarchical: true,
             iterations: 20,
             ..Default::default()
         };
-        let dist = reconstruct_distributed(&scan, &y, &cfg);
+        let dist = reconstruct_distributed(&scan, &y, &plan, &cfg);
         for f in 0..fusing {
             let err = rel_err(
                 &dist.x[f * sm.num_voxels()..(f + 1) * sm.num_voxels()],
@@ -697,51 +786,23 @@ mod tests {
             (Precision::Mixed, true, 2e-2),
             (Precision::Half, true, 5e-2),
         ] {
-            let cfg = DistributedConfig {
-                topology: Topology::new(1, 2, 2),
+            let planner = Planner {
                 precision,
-                fusing: 1,
                 hierarchical,
-                iterations: 1,
-                ..Default::default()
+                ..SINGLE
             };
-            let ranks = cfg.topology.size();
-            let decomp = SliceDecomposition::build(&sm, &scan, ranks, cfg.tile, CurveKind::Hilbert);
-            let ownership = decomp.ray_ownership();
-            let compiled = if hierarchical {
-                let hier = HierarchicalPlan::build(&decomp.footprints, &ownership, &cfg.topology);
-                CompiledPlans::compile_hierarchical(&decomp.footprints, &ownership, &hier)
-            } else {
-                let direct = DirectPlan::build(&decomp.footprints, &ownership);
-                CompiledPlans::compile_direct(&decomp.footprints, &ownership, &direct)
-            };
+            let plan = one_slab(planner, &scan, 1, Topology::new(1, 2, 2));
+            let setup = RunSetup::new(&scan, &plan, &DistributedConfig::default()).unwrap();
+            let decomp = &setup.decomp;
             let x_global: Vec<f32> = (0..sm.num_voxels())
                 .map(|i| ((i * 23 + 7) % 41) as f32 / 41.0)
                 .collect();
             let y_global: Vec<f32> = (0..sm.num_rays())
                 .map(|i| ((i * 17 + 3) % 29) as f32 / 29.0)
                 .collect();
-            let outputs = run_ranks(ranks, |comm| {
+            let outputs = run_ranks(plan.ranks(), |comm| {
                 let rank = comm.rank();
-                let op_local = &decomp.local_ops[rank];
-                let local = PrecisionOperator::new(
-                    &op_local.csr,
-                    cfg.precision,
-                    1,
-                    cfg.block_size,
-                    cfg.shared_bytes,
-                );
-                let rank_op = RankOperator {
-                    comm,
-                    cfg: &cfg,
-                    plans: &compiled,
-                    local,
-                    scratch: Mutex::new(ExchangeScratch::new()),
-                    rank,
-                    footprint_len: op_local.rows.len(),
-                    owned_rays_len: decomp.owned_rays[rank].len(),
-                    owned_vox_len: decomp.owned_voxels[rank].len(),
-                };
+                let rank_op = setup.rank_operator(comm, 1);
                 let mut ctx = ExecContext::serial();
                 let x_local: Vec<f32> = decomp.owned_voxels[rank]
                     .iter()
@@ -788,17 +849,17 @@ mod tests {
         let fusing = 3;
         let (_, _, y) = phantom_sinogram(&scan, fusing);
         let telemetry = Telemetry::enabled();
-        let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing,
-            hierarchical: true,
+        let overlapped = Planner {
             overlap: true,
+            ..SINGLE
+        };
+        let plan = one_slab(overlapped, &scan, fusing, Topology::new(1, 2, 2));
+        let cfg = DistributedConfig {
             iterations: 2,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
+        let _ = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let snap = telemetry.snapshot();
         let has_ancestor = |mut parent: Option<usize>, phase: Phase| {
             while let Some(i) = parent {
@@ -837,17 +898,13 @@ mod tests {
         let fusing = 3;
         let (_, _, y) = phantom_sinogram(&scan, fusing);
         let telemetry = Telemetry::enabled();
+        let plan = one_slab(SINGLE, &scan, fusing, Topology::new(1, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing,
-            hierarchical: true,
-            overlap: false,
             iterations: 2,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
+        let _ = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let snap = telemetry.snapshot();
         let nested = snap.spans.iter().any(|s| {
             (s.phase == Phase::SpmmForward || s.phase == Phase::SpmmTranspose)
@@ -868,21 +925,19 @@ mod tests {
     fn comm_accounting_reports_hierarchy() {
         let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
+        let plan = one_slab(SINGLE, &scan, 1, Topology::new(2, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Single,
             iterations: 1,
-            hierarchical: true,
             ..Default::default()
         };
-        let res = reconstruct_distributed(&scan, &y, &cfg);
+        let res = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let (s, n, g) = res.comm_elements;
         assert!(s > 0, "socket traffic expected");
         assert!(g > 0, "global traffic expected");
         // Global (post-reduction) must not exceed socket-level input.
         assert!(g <= s + n + g);
         // Measured traffic and merged counters ride along with the plan.
-        assert_eq!(res.comm_stats.len(), cfg.topology.size());
+        assert_eq!(res.comm_stats.len(), plan.ranks());
         assert!(res.comm_stats.iter().any(|st| st.total_bytes() > 0));
         assert!(res.counters.kernel_launches > 0);
         assert!(res.counters.flops > 0);
@@ -894,17 +949,15 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
         let telemetry = Telemetry::enabled();
+        let plan = one_slab(SINGLE, &scan, 1, Topology::new(1, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
             iterations: 3,
-            hierarchical: true,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
+        let _ = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let snap = telemetry.snapshot();
-        for rank in 0..cfg.topology.size() as u32 {
+        for rank in 0..plan.ranks() as u32 {
             let iters = snap
                 .spans
                 .iter()
@@ -924,7 +977,7 @@ mod tests {
             .iter()
             .filter(|e| e.name == "cgls.residual")
             .count();
-        assert_eq!(events, 3 * cfg.topology.size());
+        assert_eq!(events, 3 * plan.ranks());
     }
 
     #[test]
@@ -940,16 +993,13 @@ mod tests {
             slabs: 1,
             slices: fusing,
         }));
+        let plan = one_slab(SINGLE, &scan, fusing, Topology::new(1, 2, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            fusing,
-            hierarchical: true,
             iterations: 2,
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
+        let _ = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let profile = telemetry.profile_snapshot().expect("profiling enabled");
         for rank in 0..4 {
             assert!(
@@ -983,19 +1033,18 @@ mod tests {
         weights[0] = 1_000;
         weights[1] = 1_000;
         let telemetry = Telemetry::enabled();
-        let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Single,
-            iterations: 20,
-            hierarchical: true,
-            telemetry: telemetry.clone(),
-            tile_weights: Some(xct_plan::TileWeights {
+        let plan = one_slab(SINGLE, &scan, 1, Topology::new(1, 2, 2)).with_tile_weights(
+            xct_plan::TileWeights {
                 tile_size: 4,
                 weights,
-            }),
+            },
+        );
+        let cfg = DistributedConfig {
+            iterations: 20,
+            telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let dist = reconstruct_distributed(&scan, &y, &cfg);
+        let dist = reconstruct_distributed(&scan, &y, &plan, &cfg);
         // The repartitioned run still reconstructs the phantom.
         let _ = sm;
         let err = rel_err(&dist.x, &x_true);
@@ -1022,11 +1071,9 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
         let (_, _, y) = phantom_sinogram(&scan, 1);
         let telemetry = Telemetry::enabled();
+        let plan = one_slab(SINGLE, &scan, 1, Topology::new(2, 1, 2));
         let cfg = DistributedConfig {
-            topology: Topology::new(2, 1, 2),
-            precision: Precision::Single,
             iterations: 2,
-            hierarchical: true,
             wire: Some(WireModel {
                 latency: std::time::Duration::from_micros(200),
                 bytes_per_sec: f64::INFINITY,
@@ -1035,7 +1082,7 @@ mod tests {
             telemetry: telemetry.clone(),
             ..Default::default()
         };
-        let _ = reconstruct_distributed(&scan, &y, &cfg);
+        let _ = reconstruct_distributed(&scan, &y, &plan, &cfg);
         let snap = telemetry.snapshot();
         assert!(!snap.edges.is_empty(), "wired run must record match edges");
         assert!(
@@ -1048,7 +1095,7 @@ mod tests {
         );
         let causal = CausalAnalysis::from_snapshot(&snap);
         assert!(causal.critical_path_ns > 0);
-        assert_eq!(causal.per_rank.len(), cfg.topology.size());
+        assert_eq!(causal.per_rank.len(), plan.ranks());
         for rank in &causal.per_rank {
             assert!(
                 causal.critical_path_ns >= rank.busy_ns,

@@ -12,11 +12,9 @@
 //! operator nonzeros — the same quantity the SpMM's work scales with.
 
 use crate::model::ModelEstimate;
-use xct_comm::Topology;
-use xct_fp16::Precision;
 use xct_geometry::{ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
-use xct_plan::{ComponentDrift, ProfileReport, RankCost, SkewReport};
+use xct_plan::{ComponentDrift, ProfileReport, RankCost, ReconPlan, SkewReport};
 use xct_telemetry::{
     CausalAnalysis, CostComponent, ProfileSnapshot, TelemetrySnapshot, ALL_COMPONENTS,
     COMPONENT_COUNT,
@@ -27,18 +25,14 @@ use xct_telemetry::{
 pub struct ProfileInputs<'a> {
     /// Geometry the run reconstructed.
     pub scan: &'a ScanGeometry,
-    /// Slices in the profiled stack.
-    pub slices: usize,
-    /// Rank topology the run executed on.
-    pub topology: Topology,
-    /// Precision mode of the run.
-    pub precision: Precision,
-    /// Hilbert tile size of the run's decomposition.
+    /// The plan the run executed: its slice count, topology, precision
+    /// and tile weights (`None` = uniform partition) describe the
+    /// profiled stack, and the derived per-tile costs attribute to the
+    /// ownership that actually executed.
+    pub plan: &'a ReconPlan,
+    /// Hilbert tile size of the run's decomposition
+    /// (`DistributedConfig::tile_for`).
     pub tile: usize,
-    /// Tile weights the run partitioned with (`None` = uniform); the
-    /// derived per-tile costs must attribute to the ownership that
-    /// actually executed.
-    pub tile_weights: Option<&'a [u64]>,
     /// The full span/event/edge snapshot (causal layer input).
     pub snapshot: &'a TelemetrySnapshot,
     /// The cost profiler's slab copy.
@@ -125,8 +119,8 @@ fn derive_tile_costs(
 
 /// Builds the full [`ProfileReport`] from a profiled run's leavings.
 pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
-    let scan = inputs.scan;
-    let ranks = inputs.topology.size();
+    let (scan, plan) = (inputs.scan, inputs.plan);
+    let ranks = plan.ranks();
     let causal = CausalAnalysis::from_snapshot(inputs.snapshot);
 
     // Per-rank wire time: simulated wire nanoseconds of messages this
@@ -164,7 +158,8 @@ pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
     );
     let (tiles_x, tiles_y) = tomo.tile_grid();
     let nnz = tile_nnz(&sm, scan, inputs.tile);
-    let tile_costs_ns = derive_tile_costs(&tomo, ranks, inputs.tile_weights, &nnz, |rank| {
+    let weights = plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice());
+    let tile_costs_ns = derive_tile_costs(&tomo, ranks, weights, &nnz, |rank| {
         rank_costs[rank].component_ns(CostComponent::SpmmCompute)
     });
 
@@ -219,11 +214,11 @@ pub fn build_profile_report(inputs: &ProfileInputs) -> ProfileReport {
     };
 
     ProfileReport {
-        precision: inputs.precision,
+        precision: plan.precision,
         n: scan.detector.channels,
-        slices: inputs.slices,
+        slices: plan.dims.slices,
         angles: scan.angles.len(),
-        topology: inputs.topology,
+        topology: plan.topology,
         tile_size: inputs.tile,
         tiles_x,
         tiles_y,

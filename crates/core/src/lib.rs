@@ -8,12 +8,16 @@
 //! * [`distributed`] — the executable multi-rank pipeline: partial
 //!   (back)projections through the optimized kernels, hierarchical (or
 //!   direct) communication, distributed CGLS — real arithmetic at mini
-//!   scale,
+//!   scale. The `ReconPlan` carries the run's shape and
+//!   [`distributed::DistributedConfig`] only its runtime knobs; the
+//!   set-up (decomposition, compiled plans, packed rank operators) is
+//!   built once per plan,
 //! * [`pipeline`] — the double-buffered stage schedule (§III-E) shared
 //!   by the overlapped exchanges and the out-of-core slab stream,
 //! * [`stream`] — plan-driven execution of an `xct_plan::ReconPlan`:
 //!   slabs page through `xct-io` on background threads while resident
-//!   slabs compute, bit-identical to the fully resident path,
+//!   slabs compute against the plan's one set-up, bit-identical to the
+//!   fully resident path,
 //! * [`model`] — the paper-scale estimator: Table I complexity + measured
 //!   kernel/communication shapes mapped through the machine model, for
 //!   the Summit-sized experiments (Tables III–IV, Figs 10–12),

@@ -9,9 +9,11 @@
 //! determine the arithmetic: each slab runs the exact same multi-rank
 //! pipeline it would run fully resident with the same fusing, so a
 //! streamed run is bit-identical to an unconstrained run batched at the
-//! plan's fusing factor.
+//! plan's fusing factor. Slabs share one set-up — system matrix,
+//! decomposition, compiled exchange plans, packed rank operators — built
+//! once per plan before the first slab runs.
 
-use crate::distributed::{reconstruct_distributed, DistributedConfig};
+use crate::distributed::{DistributedConfig, RunSetup};
 use crate::volume::PipelineError;
 use xct_comm::RankCommStats;
 use xct_exec::{ExecCounters, MetricId, Phase};
@@ -62,10 +64,10 @@ fn check(cond: bool, msg: impl FnOnce() -> String) -> Result<(), PipelineError> 
 ///
 /// When the plan streams (more than one slab), the next slab's read and
 /// the previous slab's write run on background threads while the
-/// current slab computes. Runtime knobs the plan does not own — wire
-/// model, iteration count, telemetry, plan verification, kernel shape —
-/// come from `base`; the plan overrides topology, precision, exchange
-/// mode, overlap, and per-slab fusing.
+/// current slab computes. The plan fixes the run's shape; `base` holds
+/// the runtime knobs it does not own (wire model, iteration count,
+/// telemetry, plan verification, default tile and kernel shape). A plan
+/// made for another scan or file is a [`PipelineError::Geometry`].
 pub fn reconstruct_planned(
     scan: &ScanGeometry,
     plan: &ReconPlan,
@@ -75,12 +77,6 @@ pub fn reconstruct_planned(
 ) -> Result<PlannedOutcome, PipelineError> {
     let num_rays = scan.angles.len() * scan.detector.channels;
     let num_voxels = scan.grid.nx * scan.grid.nz;
-    check(plan.dims.n == scan.detector.channels, || {
-        format!(
-            "plan made for n = {}, scan has {} channels",
-            plan.dims.n, scan.detector.channels
-        )
-    })?;
     check(reader.meta().slice_len == num_rays, || {
         format!(
             "file has {} scalars per slice, scan produces {num_rays}",
@@ -108,34 +104,14 @@ pub fn reconstruct_planned(
         )
     })?;
     debug_assert!(plan.fits(), "executing an over-budget plan");
-
-    let mut cfg_base = DistributedConfig {
-        topology: plan.topology,
-        precision: plan.precision,
-        hierarchical: plan.hierarchical,
-        overlap: plan.overlap,
-        ..base.clone()
-    };
-    if let Some(shape) = plan.kernel {
-        // A tuned tile shape travels with the plan (petaxct tune →
-        // --tune-from) and overrides the executor defaults.
-        cfg_base.block_size = shape.block_size;
-        cfg_base.shared_bytes = shape.shared_bytes;
-    }
-    if let Some(tw) = &plan.tile_weights {
-        // Measured tile weights travel with the plan (petaxct profile →
-        // --weights-from); the decomposition must run at the tile size
-        // they were measured against.
-        cfg_base.tile = tw.tile_size;
-        cfg_base.tile_weights = Some(tw.clone());
-    }
-    let telemetry = cfg_base.telemetry.clone();
+    let setup = RunSetup::new(scan, plan, base).map_err(PipelineError::Geometry)?;
+    let telemetry = &base.telemetry;
     let streamed = plan.streaming();
 
     // Publish the plan shape so progress reporting and budget-health
     // gauges have denominators before the first slab lands.
     telemetry.gauge_set(MetricId::ProgressSlabsTotal, plan.slabs.len() as f64);
-    telemetry.gauge_set(MetricId::ProgressItersPerSlab, cfg_base.iterations as f64);
+    telemetry.gauge_set(MetricId::ProgressItersPerSlab, base.iterations as f64);
     #[allow(clippy::cast_precision_loss)] // gauges are approximate by nature
     {
         if let Some(budget) = plan.budget_bytes {
@@ -174,11 +150,7 @@ pub fn reconstruct_planned(
         if let Some(next) = plan.slabs.get(slab.index + 1) {
             input.prefetch(next.len);
         }
-        let cfg = DistributedConfig {
-            fusing: slab.len,
-            ..cfg_base.clone()
-        };
-        let result = reconstruct_distributed(scan, &data, &cfg);
+        let result = setup.solve(&data, slab.len, base);
         {
             // Queue the write-back; blocks only on the previous slab's
             // write, so the stall (if any) is what the span measures.
@@ -330,29 +302,62 @@ mod tests {
         let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 12);
         let sino = tmp("mismatch_in.xctd");
         write_sinograms(&scan, 3, &sino);
-        // Plan made for 5 slices against a 3-slice file.
-        let plan = Planner {
+        let planner = Planner {
             precision: Precision::Single,
             ..Default::default()
+        };
+        let topo = xct_comm::Topology::new(1, 1, 2);
+        // A plan made for 5 slices against the 3-slice file, and one made
+        // for 3 angles against the 12-angle scan.
+        for (slices, angles, want) in [(5, 12, "5 slices"), (3, 3, "3 angles")] {
+            let plan = planner.plan(VolumeDims { n, slices }, angles, None, topo);
+            match reconstruct_planned(
+                &scan,
+                &plan.unwrap(),
+                SliceReader::open(&sino).unwrap(),
+                volume_writer(&tmp("mismatch_out.xctd"), slices, n * n),
+                &DistributedConfig::default(),
+            ) {
+                Err(PipelineError::Geometry(m)) => assert!(m.contains(want), "{m}"),
+                Err(other) => panic!("expected geometry error, got {other:?}"),
+                Ok(_) => panic!("mismatched plan must not run"),
+            }
         }
-        .plan(
-            VolumeDims { n, slices: 5 },
-            12,
-            None,
-            xct_comm::Topology::new(1, 1, 2),
-        )
-        .unwrap();
-        let out = tmp("mismatch_out.xctd");
-        match reconstruct_planned(
-            &scan,
-            &plan,
-            SliceReader::open(&sino).unwrap(),
-            volume_writer(&out, 5, n * n),
-            &DistributedConfig::default(),
-        ) {
-            Err(PipelineError::Geometry(m)) => assert!(m.contains("5 slices"), "{m}"),
-            Err(other) => panic!("expected geometry error, got {other:?}"),
-            Ok(_) => panic!("mismatched plan must not run"),
-        }
+    }
+
+    #[test]
+    fn slabs_share_one_set_up() {
+        // The set-up records the rebalance decision, so a two-slab run
+        // records it once when its slabs share one set-up.
+        let (n, slices) = (12, 2);
+        let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 12);
+        let sino = tmp("shared_setup_in.xctd");
+        write_sinograms(&scan, slices, &sino);
+        let planner = Planner {
+            max_fusing: 1,
+            ..Default::default()
+        };
+        let topo = xct_comm::Topology::new(1, 1, 2);
+        let mut weights = vec![10u64; 9];
+        weights[0] = 1_000;
+        let plan = planner
+            .plan(VolumeDims { n, slices }, 12, None, topo)
+            .unwrap();
+        let plan = plan.with_tile_weights(xct_plan::TileWeights {
+            tile_size: 4,
+            weights,
+        });
+        let base = DistributedConfig {
+            iterations: 2,
+            telemetry: xct_exec::Telemetry::enabled(),
+            ..Default::default()
+        };
+        let out = volume_writer(&tmp("shared_setup_out.xctd"), slices, n * n);
+        let outcome =
+            reconstruct_planned(&scan, &plan, SliceReader::open(&sino).unwrap(), out, &base);
+        assert_eq!(outcome.unwrap().stats.slabs, 2);
+        let flight = base.telemetry.flight_snapshot();
+        let decisions = flight.iter().filter(|e| e.code == "rebalance.decision");
+        assert_eq!(decisions.count(), 1, "one set-up per plan, not per slab");
     }
 }

@@ -6,6 +6,19 @@ use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_phantom::{add_poisson_noise, charcoal_like};
+use xct_plan::{Planner, ReconPlan, VolumeDims};
+
+/// One-slab hierarchical plan fusing `slices` slices of `scan`.
+fn plan(scan: &ScanGeometry, slices: usize, topology: Topology, precision: Precision) -> ReconPlan {
+    let n = scan.grid.nx;
+    Planner {
+        precision,
+        max_fusing: slices,
+        ..Default::default()
+    }
+    .plan(VolumeDims { n, slices }, scan.angles.len(), None, topology)
+    .unwrap()
+}
 
 fn sinogram_for(scan: &ScanGeometry, seed: u64, flux: f64) -> (Vec<f32>, Vec<f32>) {
     let sm = SystemMatrix::build(scan);
@@ -40,11 +53,8 @@ fn twelve_ranks_three_nodes_with_noise() {
     let result = reconstruct_distributed(
         &scan,
         &y,
+        &plan(&scan, 1, Topology::new(3, 2, 2), Precision::Mixed),
         &DistributedConfig {
-            topology: Topology::new(3, 2, 2),
-            precision: Precision::Mixed,
-            fusing: 1,
-            hierarchical: true,
             iterations: 20,
             ..Default::default()
         },
@@ -63,11 +73,8 @@ fn single_rank_topology_works() {
     let result = reconstruct_distributed(
         &scan,
         &y,
+        &plan(&scan, 1, Topology::new(1, 1, 1), Precision::Single),
         &DistributedConfig {
-            topology: Topology::new(1, 1, 1),
-            precision: Precision::Single,
-            fusing: 1,
-            hierarchical: true,
             iterations: 25,
             ..Default::default()
         },
@@ -96,11 +103,8 @@ fn fused_half_precision_hierarchical() {
     let result = reconstruct_distributed(
         &scan,
         &y,
+        &plan(&scan, fusing, Topology::new(2, 2, 2), Precision::Half),
         &DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Half,
-            fusing,
-            hierarchical: true,
             iterations: 15,
             ..Default::default()
         },
@@ -122,11 +126,8 @@ fn more_ranks_than_tiles_leaves_spare_ranks_idle_but_correct() {
     let result = reconstruct_distributed(
         &scan,
         &y,
+        &plan(&scan, 1, Topology::new(4, 2, 2), Precision::Single),
         &DistributedConfig {
-            topology: Topology::new(4, 2, 2),
-            precision: Precision::Single,
-            fusing: 1,
-            hierarchical: true,
             iterations: 10,
             tile: 4,
             ..Default::default()

@@ -15,7 +15,7 @@ use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::CurveKind;
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
-use xct_plan::{Planner, VolumeDims};
+use xct_plan::{Planner, ReconPlan, VolumeDims};
 use xct_spmm::PackedMatrix;
 
 const N: usize = 16;
@@ -43,36 +43,53 @@ fn sinogram(sm: &SystemMatrix, slices: usize) -> Vec<f32> {
     y
 }
 
-fn config(topology: Topology, wire: Option<WireModel>) -> DistributedConfig {
-    DistributedConfig {
-        topology,
+/// Single-precision hierarchical plan fusing `FUSING` slices in one slab.
+fn one_slab(topology: Topology, overlap: bool) -> ReconPlan {
+    Planner {
         precision: Precision::Single,
-        fusing: FUSING,
         hierarchical: true,
+        overlap,
+        max_fusing: FUSING,
+        kernel: None,
+    }
+    .plan(
+        VolumeDims {
+            n: N,
+            slices: FUSING,
+        },
+        N,
+        None,
+        topology,
+    )
+    .unwrap()
+}
+
+fn config(wire: Option<WireModel>) -> DistributedConfig {
+    DistributedConfig {
         wire,
         iterations: ITERATIONS,
         ..Default::default()
     }
 }
 
-/// What one `reconstruct_distributed` call under `cfg` must report,
-/// derived from the decomposition, the hierarchical plan and the packed
-/// per-rank matrices alone.
+/// What one `reconstruct_distributed` call of `plan` under `cfg` must
+/// report, derived from the decomposition, the hierarchical plan and the
+/// packed per-rank matrices alone.
 fn expected(
     scan: &ScanGeometry,
     sm: &SystemMatrix,
+    plan: &ReconPlan,
     cfg: &DistributedConfig,
 ) -> (ClassBytes, KernelCounts) {
-    let ranks = cfg.topology.size() as u64;
+    let ranks = plan.ranks() as u64;
     // CGLS applies Aᵀ once to start, then A and Aᵀ once per iteration,
     // each over every fused slice; each slice's (back)projection moves
     // every plan level's elements once, as f32 on the wire.
-    let forward = (cfg.iterations * cfg.fusing) as u64;
-    let transpose = ((cfg.iterations + 1) * cfg.fusing) as u64;
-    let decomp =
-        SliceDecomposition::build(sm, scan, cfg.topology.size(), cfg.tile, CurveKind::Hilbert);
-    let plan = HierarchicalPlan::build(&decomp.footprints, &decomp.ray_ownership(), &cfg.topology);
-    let (socket, node, global) = plan.level_elements();
+    let forward = (cfg.iterations * plan.fusing) as u64;
+    let transpose = ((cfg.iterations + 1) * plan.fusing) as u64;
+    let decomp = SliceDecomposition::build(sm, scan, plan.ranks(), cfg.tile, CurveKind::Hilbert);
+    let hier = HierarchicalPlan::build(&decomp.footprints, &decomp.ray_ownership(), &plan.topology);
+    let (socket, node, global) = hier.level_elements();
     let level_bytes = |elements: u64| elements * 4 * (forward + transpose);
     // Control: two allreduces in CGLS set-up and three per iteration, each
     // gathering one f64 from every other rank at rank 0 and broadcasting
@@ -105,26 +122,20 @@ fn measured(comm_stats: &[RankCommStats], c: &ExecCounters) -> (ClassBytes, Kern
     (bytes, (c.flops, c.padded_flops, c.kernel_launches))
 }
 
-/// Runs `cfg` with overlap off and on and checks both against [`expected`].
-fn assert_exact(cfg: &DistributedConfig) -> ClassBytes {
+/// Runs on `topology` with overlap off and on and checks both against
+/// [`expected`].
+fn assert_exact(topology: Topology, wire: Option<WireModel>) -> ClassBytes {
     let scan = scan();
     let sm = SystemMatrix::build(&scan);
-    let y = sinogram(&sm, cfg.fusing);
-    let want = expected(&scan, &sm, cfg);
+    let y = sinogram(&sm, FUSING);
+    let cfg = config(wire);
+    let want = expected(&scan, &sm, &one_slab(topology, false), &cfg);
     for overlap in [false, true] {
-        let result = reconstruct_distributed(
-            &scan,
-            &y,
-            &DistributedConfig {
-                overlap,
-                ..cfg.clone()
-            },
-        );
+        let result = reconstruct_distributed(&scan, &y, &one_slab(topology, overlap), &cfg);
         assert_eq!(
             measured(&result.comm_stats, &result.counters),
             want,
-            "{:?} overlap={overlap}: (bytes per class, (flops, padded flops, launches))",
-            cfg.topology
+            "{topology:?} overlap={overlap}: (bytes per class, (flops, padded flops, launches))"
         );
     }
     want.0
@@ -132,7 +143,7 @@ fn assert_exact(cfg: &DistributedConfig) -> ClassBytes {
 
 #[test]
 fn in_memory_1x2x2_counts_match_the_plan_exactly() {
-    assert_exact(&config(Topology::new(1, 2, 2), None));
+    assert_exact(Topology::new(1, 2, 2), None);
 }
 
 #[test]
@@ -143,7 +154,7 @@ fn wired_2x2x2_counts_match_the_plan_exactly() {
         bytes_per_sec: 50e6,
         ranks_per_node: topology.gpus_per_node(),
     };
-    let bytes = assert_exact(&config(topology, Some(wire)));
+    let bytes = assert_exact(topology, Some(wire));
     assert!(
         bytes[2] > 0,
         "two nodes must put traffic on the global level"
@@ -173,8 +184,9 @@ fn streamed_counts_are_per_slab_counts_times_slabs() {
 
     // Each slab runs the resident pipeline at the plan's fusing, so a
     // streamed run reports exactly one slab's counts per slab.
-    let base = config(topology, None);
-    let (bytes, (flops, padded_flops, launches)) = expected(&scan, &sm, &base);
+    let base = config(None);
+    let (bytes, (flops, padded_flops, launches)) =
+        expected(&scan, &sm, &one_slab(topology, false), &base);
     let slabs = 2;
     let want = (
         bytes.map(|b| b * slabs),

@@ -13,6 +13,7 @@ use xct_core::{build_profile_report, ProfileInputs};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, TileDecomposition};
+use xct_plan::{Planner, VolumeDims};
 use xct_telemetry::{CostComponent, ManualClock, Phase, ProfileDims, Telemetry, ALL_COMPONENTS};
 
 /// Records one root span of exactly `dur` nanoseconds on `tele`'s
@@ -142,13 +143,16 @@ fn scripted_1x2x2_run_yields_exact_cells_drift_and_tile_costs() {
     // --- exact artifact ------------------------------------------
     let scan = ScanGeometry::uniform(ImageGrid::square(16, 1.0), 12);
     let snapshot = tele.snapshot();
+    let plan = Planner {
+        precision: Precision::Single,
+        ..Default::default()
+    }
+    .plan(VolumeDims { n: 16, slices: 2 }, 12, None, topology)
+    .unwrap();
     let report = build_profile_report(&ProfileInputs {
         scan: &scan,
-        slices: 2,
-        topology,
-        precision: Precision::Single,
+        plan: &plan,
         tile: 4,
-        tile_weights: None,
         snapshot: &snapshot,
         profile: &profile,
         model: None,

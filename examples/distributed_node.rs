@@ -13,6 +13,7 @@ use petaxct::core::distributed::{reconstruct_distributed, DistributedConfig};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use petaxct::phantom::charcoal_like;
+use petaxct::plan::{Planner, VolumeDims};
 
 fn main() {
     let n = 32;
@@ -32,15 +33,18 @@ fn main() {
     );
 
     for hierarchical in [false, true] {
-        let cfg = DistributedConfig {
-            topology,
+        let plan = Planner {
             precision: Precision::Mixed,
-            fusing: 1,
             hierarchical,
+            ..Default::default()
+        }
+        .plan(VolumeDims { n, slices: 1 }, 32, None, topology)
+        .expect("plan");
+        let cfg = DistributedConfig {
             iterations: 20,
             ..Default::default()
         };
-        let result = reconstruct_distributed(&scan, &sinogram, &cfg);
+        let result = reconstruct_distributed(&scan, &sinogram, &plan, &cfg);
         let (s, nd, g) = result.comm_elements;
         let err = {
             let num: f64 = result

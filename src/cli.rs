@@ -27,7 +27,7 @@ use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use xct_hilbert::{CurveKind, Domain2D, Subdomain, TileDecomposition};
 use xct_io::{FileKind, SliceFile, SliceReader, SliceWriter};
 use xct_phantom::{add_poisson_noise, DatasetSpec, Image2D};
-use xct_plan::{Planner, ProfileReport, TileWeights, TunePoint, TuneReport, VolumeDims};
+use xct_plan::{Planner, ProfileReport, ReconPlan, TileWeights, TunePoint, TuneReport, VolumeDims};
 use xct_telemetry::{
     chrome_trace, install_flight_panic_hook, metrics_csv, metrics_series_json, prometheus_text,
     render_progress, Breakdown, CausalAnalysis, Json, Phase, PhaseHistograms, ProfileDims, Sampler,
@@ -761,23 +761,12 @@ fn reconstruct_inner(
                 max_fusing,
                 kernel: tuned.as_ref().map(|t| t.shape()),
             };
-            let mut plan = planner
-                .plan(VolumeDims { n, slices }, angles, budget, *topology)
-                .map_err(|e| CliError(format!("{e}")))?;
-            // Measured tile weights (petaxct profile → --weights-from)
-            // ride on the plan so plan_fits gates them like every other
-            // promise before the decomposition re-runs with them.
             let weights = flags
                 .get("weights-from")
                 .map(load_profile_weights)
                 .transpose()?;
-            if let Some(w) = weights {
-                plan = plan.with_tile_weights(w);
-            }
-            let fits = plan_fits(&plan);
-            if !fits.ok() {
-                return Err(CliError(format!("reconstruction plan rejected:\n{fits}")));
-            }
+            let dims = VolumeDims { n, slices };
+            let plan = gated_plan(planner, dims, angles, budget, *topology, weights)?;
             let profile_out = flags.get("profile-out").map(str::to_owned);
             if profile_out.is_some() {
                 telemetry.enable_profile(ProfileDims {
@@ -820,20 +809,11 @@ fn reconstruct_inner(
             drop(total_span);
             let profile_note = match &profile_out {
                 Some(path) => {
-                    // The executor decomposes at the weights' tile size
-                    // when rebalancing, at the default otherwise
-                    // (mirrors reconstruct_planned's override).
-                    let tile = plan
-                        .tile_weights
-                        .as_ref()
-                        .map_or(base.tile, |tw| tw.tile_size);
                     let report = build_profile_artifact(
                         recon.scan(),
                         &plan,
-                        *topology,
-                        precision,
                         iterations,
-                        tile,
+                        base.tile_for(&plan),
                         telemetry,
                     )?;
                     write_file(path, &report.to_json().to_string())?;
@@ -856,6 +836,32 @@ fn reconstruct_inner(
         }
     };
     outcome
+}
+
+/// Plans `dims` on `topology` within `budget`, stamps measured tile
+/// weights (`petaxct profile` → `--weights-from`) on the plan, and gates
+/// the whole promise with `plan_fits` before anything runs: a weight
+/// table measured on another volume is rejected here, not by the
+/// decomposition.
+fn gated_plan(
+    planner: Planner,
+    dims: VolumeDims,
+    angles: usize,
+    budget: Option<u64>,
+    topology: Topology,
+    weights: Option<TileWeights>,
+) -> Result<ReconPlan, CliError> {
+    let mut plan = planner
+        .plan(dims, angles, budget, topology)
+        .map_err(|e| CliError(format!("{e}")))?;
+    if let Some(w) = weights {
+        plan = plan.with_tile_weights(w);
+    }
+    let fits = plan_fits(&plan);
+    if !fits.ok() {
+        return Err(CliError(format!("reconstruction plan rejected:\n{fits}")));
+    }
+    Ok(plan)
 }
 
 /// Loads a `petaxct-tune-v1` artifact and returns its winning point.
@@ -885,9 +891,7 @@ fn load_profile_weights(path: &str) -> Result<TileWeights, CliError> {
 /// `petaxct-profile-v1` report, and flight-records the snapshot moment.
 fn build_profile_artifact(
     scan: &ScanGeometry,
-    plan: &xct_plan::ReconPlan,
-    topology: Topology,
-    precision: Precision,
+    plan: &ReconPlan,
     iterations: usize,
     tile: usize,
     telemetry: &Telemetry,
@@ -899,15 +903,12 @@ fn build_profile_artifact(
     // Score the measured run against the analytic model at the smallest
     // machine carrying the run's node count; shares (not magnitudes)
     // make the comparison meaningful across scales.
-    let machine = MachineSpec::summit(topology.nodes.max(1));
+    let machine = MachineSpec::summit(plan.topology.nodes.max(1));
     let est = ModelExperiment::from_plan(plan, machine, OptLevel::full(), iterations).run();
     let report = build_profile_report(&ProfileInputs {
         scan,
-        slices: plan.dims.slices,
-        topology,
-        precision,
+        plan,
         tile,
-        tile_weights: plan.tile_weights.as_ref().map(|tw| tw.weights.as_slice()),
         snapshot: &snapshot,
         profile: &profile,
         model: Some(&est),
@@ -997,17 +998,26 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
         .get("weights-from")
         .map(load_profile_weights)
         .transpose()?;
-    let mut tile: usize = flags.parse_or("tile", 4)?;
+    let tile: usize = flags.parse_or("tile", 4)?;
     if let Some(w) = &weights {
-        if flags.get("tile").is_none() {
-            tile = w.tile_size;
-        } else if tile != w.tile_size {
+        if flags.get("tile").is_some() && tile != w.tile_size {
             return Err(CliError(format!(
                 "--tile {tile} contradicts the weights' tile size {}",
                 w.tile_size
             )));
         }
     }
+    // One plan describes the run: gated as `reconstruct`'s is, then
+    // executed, and the model joins on it.
+    let planner = Planner {
+        precision,
+        hierarchical: true,
+        overlap,
+        max_fusing: slices.max(1),
+        kernel: None,
+    };
+    let dims = VolumeDims { n, slices };
+    let plan = gated_plan(planner, dims, angles, None, topology, weights)?;
 
     let scan = scan_for(n, angles);
     let sm = SystemMatrix::build(&scan);
@@ -1027,37 +1037,15 @@ fn profile(flags: &Flags) -> Result<String, CliError> {
         slices,
     });
     let cfg = DistributedConfig {
-        topology,
-        precision,
-        fusing: slices,
-        hierarchical: true,
-        overlap,
         wire,
         iterations,
         tile,
         telemetry: telemetry.clone(),
-        tile_weights: weights.clone(),
         ..Default::default()
     };
-    let result = reconstruct_distributed(&scan, &sino, &cfg);
-
-    // The model joins on a plan of the same problem; the weights ride
-    // along so the per-tile attribution matches the executed ownership.
-    let mut plan = Planner {
-        precision,
-        hierarchical: true,
-        overlap,
-        max_fusing: slices.max(1),
-        kernel: None,
-    }
-    .plan(VolumeDims { n, slices }, angles, None, topology)
-    .map_err(|e| CliError(format!("{e}")))?;
-    if let Some(w) = weights {
-        plan = plan.with_tile_weights(w);
-    }
-    let report = build_profile_artifact(
-        &scan, &plan, topology, precision, iterations, tile, &telemetry,
-    )?;
+    let result = reconstruct_distributed(&scan, &sino, &plan, &cfg);
+    let tile = cfg.tile_for(&plan);
+    let report = build_profile_artifact(&scan, &plan, iterations, tile, &telemetry)?;
     let json_text = report.to_json().to_string();
     write_file(&out, &json_text)?;
     if flags.switch("json") {
@@ -1635,6 +1623,18 @@ mod tests {
         let line = format!("reconstruct --in /nonexistent --out /tmp/y --tune-from {tune}");
         let err = run_words(&line).unwrap_err();
         assert!(err.0.contains("block_size 48"), "{}", err.0);
+    }
+
+    #[test]
+    fn profile_weights_measured_on_another_volume_are_an_error() {
+        let weights = tmp("cli_profile_w16.json");
+        run_words(&format!("profile --n 16 --iterations 1 --out {weights}")).unwrap();
+        let line = format!(
+            "profile --n 24 --angles 24 --iterations 1 --weights-from {weights} --out {}",
+            tmp("cli_profile_w24.json")
+        );
+        let err = run_words(&line).unwrap_err();
+        assert!(err.0.contains("6x6 tile grid"), "{}", err.0);
     }
 
     #[test]

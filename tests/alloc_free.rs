@@ -401,16 +401,16 @@ fn distributed_iterations_allocate_a_bounded_constant_amount() {
     let mut y = vec![0.0f32; sm.num_rays()];
     sm.project(&phantom, &mut y);
 
+    let (n, slices, topology) = (16, 1, Topology::new(1, 2, 2));
+    let plan = Planner::default().plan(VolumeDims { n, slices }, n, None, topology);
+    let plan = plan.unwrap();
     let run = |iterations: usize| -> u64 {
         let cfg = DistributedConfig {
-            topology: Topology::new(1, 2, 2),
-            precision: Precision::Mixed,
-            hierarchical: true,
             iterations,
             ..Default::default()
         };
         let before = allocations();
-        let result = reconstruct_distributed(&scan, &y, &cfg);
+        let result = reconstruct_distributed(&scan, &y, &plan, &cfg);
         assert_eq!(result.x.len(), sm.num_voxels());
         allocations() - before
     };
@@ -549,12 +549,17 @@ fn spmm_launch_allocations(reference: bool) -> u64 {
 fn distributed_run_allocations(topology: Topology, overlap: bool, wired: bool) -> u64 {
     let scan = run_scan();
     let y = run_sinogram(&SystemMatrix::build(&scan), RUN_FUSING);
-    let cfg = DistributedConfig {
-        topology,
+    let (n, slices) = (RUN_N, RUN_FUSING);
+    let plan = Planner {
         precision: Precision::Single,
-        fusing: RUN_FUSING,
         hierarchical: true,
         overlap,
+        max_fusing: RUN_FUSING,
+        kernel: None,
+    }
+    .plan(VolumeDims { n, slices }, n, None, topology)
+    .unwrap();
+    let cfg = DistributedConfig {
         wire: wired.then(|| WireModel {
             latency: Duration::from_micros(300),
             bytes_per_sec: 50e6,
@@ -565,7 +570,7 @@ fn distributed_run_allocations(topology: Topology, overlap: bool, wired: bool) -
         ..Default::default()
     };
     let before = allocations();
-    let result = reconstruct_distributed(&scan, &y, &cfg);
+    let result = reconstruct_distributed(&scan, &y, &plan, &cfg);
     let allocs = allocations() - before;
     assert_eq!(result.x.len(), scan.grid.nx * scan.grid.nz * RUN_FUSING);
     allocs

@@ -18,6 +18,7 @@ use xct_comm::{Topology, WireModel};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+use xct_plan::{Planner, VolumeDims};
 use xct_telemetry::{CausalAnalysis, ManualClock, Phase, Telemetry};
 
 const TRACKS: u32 = 3;
@@ -105,21 +106,26 @@ fn wired_critical_path(scan: &ScanGeometry, y: &[f32], overlap: bool, reps: usiz
         bytes_per_sec: 50e6,
         ranks_per_node: topology.size() / 2,
     };
+    let (n, slices) = (scan.grid.nx, 4);
+    let plan = Planner {
+        precision: Precision::Single,
+        hierarchical: true,
+        overlap,
+        max_fusing: slices,
+        kernel: None,
+    }
+    .plan(VolumeDims { n, slices }, scan.angles.len(), None, topology)
+    .unwrap();
     (0..reps)
         .map(|_| {
             let telemetry = Telemetry::enabled();
             let cfg = DistributedConfig {
-                topology,
-                precision: Precision::Single,
-                fusing: 4,
-                hierarchical: true,
-                overlap,
                 wire: Some(wire),
                 iterations: 3,
                 telemetry: telemetry.clone(),
                 ..Default::default()
             };
-            reconstruct_distributed(scan, y, &cfg);
+            reconstruct_distributed(scan, y, &plan, &cfg);
             CausalAnalysis::from_snapshot(&telemetry.snapshot()).critical_path_ns
         })
         .min()

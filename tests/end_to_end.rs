@@ -7,6 +7,24 @@ use petaxct::core::{ReconOptions, Reconstructor};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry};
 use petaxct::phantom::{add_poisson_noise, shepp_logan};
+use petaxct::plan::{Planner, ReconPlan, VolumeDims};
+
+/// One-slice plan for `scan` on a 2×2×2 topology.
+fn plan_2x2x2(scan: &ScanGeometry, precision: Precision, hierarchical: bool) -> ReconPlan {
+    let (n, topology) = (scan.grid.nx, Topology::new(2, 2, 2));
+    Planner {
+        precision,
+        hierarchical,
+        ..Default::default()
+    }
+    .plan(
+        VolumeDims { n, slices: 1 },
+        scan.angles.len(),
+        None,
+        topology,
+    )
+    .unwrap()
+}
 
 fn relative_error(a: &[f32], b: &[f32]) -> f64 {
     let num: f64 = a
@@ -66,11 +84,8 @@ fn distributed_hierarchical_mixed_matches_local_double() {
     let dist = reconstruct_distributed(
         &scan,
         &sinogram,
+        &plan_2x2x2(&scan, Precision::Mixed, true),
         &DistributedConfig {
-            topology: Topology::new(2, 2, 2),
-            precision: Precision::Mixed,
-            fusing: 1,
-            hierarchical: true,
             iterations: 20,
             ..Default::default()
         },
@@ -88,29 +103,15 @@ fn hierarchy_shrinks_global_traffic_end_to_end() {
     let scan = ScanGeometry::uniform(ImageGrid::square(n, 1.0), 24);
     let recon = Reconstructor::new(scan.clone());
     let sinogram = recon.project(&shepp_logan(n).data);
-    let base = DistributedConfig {
-        topology: Topology::new(2, 2, 2),
-        precision: Precision::Single,
-        fusing: 1,
+    let cfg = DistributedConfig {
         iterations: 2,
         ..Default::default()
     };
-    let direct = reconstruct_distributed(
-        &scan,
-        &sinogram,
-        &DistributedConfig {
-            hierarchical: false,
-            ..base.clone()
-        },
-    );
-    let hier = reconstruct_distributed(
-        &scan,
-        &sinogram,
-        &DistributedConfig {
-            hierarchical: true,
-            ..base
-        },
-    );
+    let run = |hierarchical| {
+        let plan = plan_2x2x2(&scan, Precision::Single, hierarchical);
+        reconstruct_distributed(&scan, &sinogram, &plan, &cfg)
+    };
+    let (direct, hier) = (run(false), run(true));
     let direct_global = direct.comm_elements.2;
     let hier_global = hier.comm_elements.2;
     assert!(

@@ -1,6 +1,6 @@
 //! Communication overlap must be a pure scheduling change (§III-E).
 //!
-//! With `overlap: true` the distributed pipeline posts slice `s`'s global
+//! With a plan's `overlap: true` the distributed pipeline posts slice `s`'s global
 //! exchange and runs slice `s+1`'s local work before completing it. The
 //! arithmetic — quantization, accumulation order, rounding — is identical
 //! to the synchronous schedule, so the reconstruction must match **bit
@@ -13,6 +13,18 @@ use xct_comm::{Topology, WireModel};
 use xct_core::distributed::{reconstruct_distributed, DistributedConfig};
 use xct_fp16::Precision;
 use xct_geometry::{ImageGrid, ScanGeometry, SystemMatrix};
+use xct_plan::{Planner, ReconPlan, VolumeDims};
+
+/// One-slab plan fusing `slices` slices of `scan`.
+fn plan(scan: &ScanGeometry, slices: usize, topology: Topology, planner: Planner) -> ReconPlan {
+    let (n, max_fusing) = (scan.grid.nx, slices);
+    Planner {
+        max_fusing,
+        ..planner
+    }
+    .plan(VolumeDims { n, slices }, scan.angles.len(), None, topology)
+    .unwrap()
+}
 
 fn sinogram(scan: &ScanGeometry, fusing: usize) -> Vec<f32> {
     let sm = SystemMatrix::build(scan);
@@ -43,30 +55,20 @@ fn assert_overlap_equivalent(topology: Topology, precision: Precision, hierarchi
     let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
     let fusing = 3;
     let y = sinogram(&scan, fusing);
-    let base = DistributedConfig {
-        topology,
-        precision,
-        fusing,
-        hierarchical,
+    let cfg = DistributedConfig {
         iterations: 6,
         ..Default::default()
     };
-    let off = reconstruct_distributed(
-        &scan,
-        &y,
-        &DistributedConfig {
-            overlap: false,
-            ..base.clone()
-        },
-    );
-    let on = reconstruct_distributed(
-        &scan,
-        &y,
-        &DistributedConfig {
-            overlap: true,
-            ..base
-        },
-    );
+    let run = |overlap| {
+        let planner = Planner {
+            precision,
+            hierarchical,
+            overlap,
+            ..Default::default()
+        };
+        reconstruct_distributed(&scan, &y, &plan(&scan, fusing, topology, planner), &cfg)
+    };
+    let (off, on) = (run(false), run(true));
     assert_eq!(
         on.x, off.x,
         "{precision:?} hier={hierarchical}: overlapped volume must be bit-identical"
@@ -120,20 +122,26 @@ fn simulated_wire_time_never_changes_results() {
     let scan = ScanGeometry::uniform(ImageGrid::square(12, 1.0), 12);
     let fusing = 3;
     let y = sinogram(&scan, fusing);
+    let topology = Topology::new(2, 2, 2);
     let base = DistributedConfig {
-        topology: Topology::new(2, 2, 2),
-        precision: Precision::Mixed,
-        fusing,
-        hierarchical: true,
         iterations: 4,
         ..Default::default()
     };
-    let plain = reconstruct_distributed(&scan, &y, &base);
+    let plain = reconstruct_distributed(
+        &scan,
+        &y,
+        &plan(&scan, fusing, topology, Planner::default()),
+        &base,
+    );
+    let overlapped = Planner {
+        overlap: true,
+        ..Default::default()
+    };
     let wired = reconstruct_distributed(
         &scan,
         &y,
+        &plan(&scan, fusing, topology, overlapped),
         &DistributedConfig {
-            overlap: true,
             wire: Some(WireModel {
                 latency: Duration::from_micros(300),
                 bytes_per_sec: 20e6,

@@ -9,6 +9,7 @@ use petaxct::core::distributed::{reconstruct_distributed, DistributedConfig};
 use petaxct::fp16::Precision;
 use petaxct::geometry::{ImageGrid, ScanGeometry, SystemMatrix};
 use petaxct::phantom::charcoal_like;
+use petaxct::plan::{Planner, VolumeDims};
 use petaxct::verify::corpus::{
     barrier_program, buggy_allreduce_claims, dropped_direct, duplicated_direct, gen_case,
     misrouted_direct, small_direct_fixture, unheld_direct, unsorted_transfer,
@@ -72,14 +73,20 @@ proptest! {
         let mut y = vec![0.0f32; sm.num_rays()];
         sm.project(&phantom.data, &mut y);
 
+        let plan = Planner {
+            precision,
+            hierarchical,
+            overlap,
+            max_fusing: 1,
+            kernel: None,
+        }
+        .plan(VolumeDims { n: 12, slices: 1 }, 12, None, Topology::new(1, 2, 2))
+        .unwrap();
         let result = reconstruct_distributed(
             &scan,
             &y,
+            &plan,
             &DistributedConfig {
-                topology: Topology::new(1, 2, 2),
-                precision,
-                hierarchical,
-                overlap,
                 iterations: 3,
                 verify_plans: true,
                 ..Default::default()
